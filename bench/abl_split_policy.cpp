@@ -1,9 +1,11 @@
 // Ablation — DSS-LC's request-split policy ρ(·) (§5.2.2).
 //
 // The paper uses random ordering for the overload split (all LC services
-// share one priority) and notes ρ is pluggable. This sweep compares random,
-// FIFO, and deadline-aware ordering under sustained overload, where the
-// split decides who waits in Ĝ'_k.
+// share one priority) and notes ρ is pluggable. This sweep compares random
+// and FIFO ordering under sustained overload, where the split decides who
+// waits in Ĝ'_k. (A deadline order, arrival + qos_target, would equal FIFO:
+// the split runs per service type, so every request it orders shares one
+// qos_target.)
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -47,8 +49,7 @@ void Run() {
       bench::MixedTrace(3, 260.0, 10.0, kDuration, /*seed=*/97,
                         workload::Pattern::kP3, /*hotspot_fraction=*/0.8);
   std::vector<Row> rows;
-  for (auto p : {sched::SplitPolicy::kRandom, sched::SplitPolicy::kFifo,
-                 sched::SplitPolicy::kDeadline}) {
+  for (auto p : {sched::SplitPolicy::kRandom, sched::SplitPolicy::kFifo}) {
     rows.push_back(RunPolicy(p, trace));
   }
   std::vector<std::vector<std::string>> table;
@@ -71,11 +72,11 @@ void Run() {
                     "paper treats ρ as pluggable (uses random)",
                     eval::Pct(best - worst) + " spread across policies",
                     best - worst < 0.08);
-  bench::PaperCheck("deadline-aware ρ never loses to random",
+  bench::PaperCheck("FIFO ρ never loses to random",
                     "extension feature sanity",
-                    eval::Pct(rows[2].summary.qos_satisfaction) + " vs " +
+                    eval::Pct(rows[1].summary.qos_satisfaction) + " vs " +
                         eval::Pct(rows[0].summary.qos_satisfaction),
-                    rows[2].summary.qos_satisfaction >=
+                    rows[1].summary.qos_satisfaction >=
                         rows[0].summary.qos_satisfaction - 0.02);
 }
 

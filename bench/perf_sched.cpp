@@ -3,11 +3,12 @@
 // Measures DSS-LC dispatch rounds/sec with the per-type G_k fan-out serial
 // vs parallel on small (16-node), large (256-node) and huge (1024-node)
 // cluster views, verifies the parallel mode is byte-identical to serial and
-// that steady-state rounds perform zero MCMF graph allocations, compares
-// TangoSolve warm-start incremental solving against full cold rebuilds,
-// then times a short end-to-end simulation and concurrent benchmark
-// repetitions. Emits BENCH_sched.json (cwd) so later PRs can diff
-// scheduling throughput against this baseline. The ≥2× parallel speedup
+// that steady-state rounds perform zero solver-scratch allocations, prints
+// an FNV-1a digest of every round's assignments per config (the witness
+// that routing output is unchanged across implementations), then times a
+// short end-to-end simulation and concurrent benchmark repetitions. Emits
+// BENCH_sched.json (cwd) so later PRs can diff scheduling throughput
+// against this baseline. The ≥2× parallel speedup
 // expectation only applies on hosts with ≥4 cores; the JSON records the
 // core count either way.
 //
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "bench_common.h"
@@ -79,16 +81,15 @@ std::vector<PendingRequest> MakeQueue(int count, SimTime base) {
 struct SchedRun {
   double rounds_per_sec = 0.0;
   std::int64_t assignments = 0;
-  std::int64_t steady_alloc_events = 0;  // MCMF allocations after warm-up
+  std::int64_t steady_alloc_events = 0;  // scratch growths after warm-up
   SolverPoolStats stats;                 // solver pool counters at run end
   std::vector<std::vector<Assignment>> per_round;  // for the identity check
 };
 
 SchedRun RunRounds(int num_threads, const StateStorage& st, int queue_len,
-                   int rounds, int warmup, bool warm_start = true) {
+                   int rounds, int warmup) {
   sched::DssLcConfig cfg;
   cfg.num_threads = num_threads;
-  cfg.warm_start = warm_start;
   sched::DssLcScheduler dss(&bench::Catalog(), cfg);
   SchedRun run;
   std::int64_t warm_allocs = 0;
@@ -125,6 +126,34 @@ bool Identical(const SchedRun& a, const SchedRun& b) {
   return true;
 }
 
+/// FNV-1a over every round's assignment count and (request, target) pairs,
+/// in emission order.
+std::uint64_t AssignmentDigest(const SchedRun& run) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto fold = [&h](std::int32_t v) {
+    auto u = static_cast<std::uint32_t>(v);
+    for (int byte = 0; byte < 4; ++byte) {
+      h = (h ^ (u & 0xFFu)) * 1099511628211ULL;
+      u >>= 8;
+    }
+  };
+  for (const auto& round : run.per_round) {
+    fold(static_cast<std::int32_t>(round.size()));
+    for (const auto& a : round) {
+      fold(a.request.value);
+      fold(a.target.value);
+    }
+  }
+  return h;
+}
+
+std::string Hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 struct SchedComparison {
   const char* label;
   int nodes;
@@ -133,6 +162,7 @@ struct SchedComparison {
   SchedRun parallel;
   bool identical = false;
   double speedup = 0.0;
+  std::uint64_t digest = 0;  // AssignmentDigest of the serial run
 };
 
 SchedComparison CompareSched(const char* label, int clusters, int workers,
@@ -145,54 +175,16 @@ SchedComparison CompareSched(const char* label, int clusters, int workers,
   cmp.serial = RunRounds(/*num_threads=*/1, st, queue_len, rounds, 3);
   cmp.parallel = RunRounds(/*num_threads=*/0, st, queue_len, rounds, 3);
   cmp.identical = Identical(cmp.serial, cmp.parallel);
+  cmp.digest = AssignmentDigest(cmp.serial);
   cmp.speedup = cmp.serial.rounds_per_sec > 0.0
                     ? cmp.parallel.rounds_per_sec / cmp.serial.rounds_per_sec
                     : 0.0;
   return cmp;
 }
 
-/// TangoSolve warm-start vs cold rebuild, both serial, same storage/queue.
-/// The cold run still uses the SoA solver and the dispatch-star kernel —
-/// this isolates what the incremental machinery (memo + delta re-solve)
-/// buys on top of the fast solver itself.
-struct WarmVsCold {
-  const char* label;
-  int nodes = 0;
-  int queue_len = 0;
-  SchedRun cold;
-  SchedRun warm;
-  bool identical = false;
-  double speedup = 0.0;
-  double avg_deltas = 0.0;  // UpdateArc deltas per warm (delta) re-solve
-};
-
-WarmVsCold CompareWarmCold(const char* label, int clusters, int workers,
-                           int queue_len, int rounds) {
-  WarmVsCold w;
-  w.label = label;
-  w.nodes = clusters * workers;
-  w.queue_len = queue_len;
-  const StateStorage st = MakeStorage(clusters, workers, 77);
-  w.cold = RunRounds(/*num_threads=*/1, st, queue_len, rounds, 3,
-                     /*warm_start=*/false);
-  w.warm = RunRounds(/*num_threads=*/1, st, queue_len, rounds, 3,
-                     /*warm_start=*/true);
-  w.identical = Identical(w.cold, w.warm);
-  w.speedup = w.cold.rounds_per_sec > 0.0
-                  ? w.warm.rounds_per_sec / w.cold.rounds_per_sec
-                  : 0.0;
-  w.avg_deltas =
-      w.warm.stats.warm_solves > 0
-          ? static_cast<double>(w.warm.stats.delta_updates) /
-                static_cast<double>(w.warm.stats.warm_solves)
-          : 0.0;
-  return w;
-}
-
 /// Per-phase wall-clock profile of the DSS-LC round (snapshot filter,
-/// graph build, delta build, MCMF solve, merge, commit) from a
-/// profile_phases run. Serial mode so phase timings are not interleaved
-/// across pool threads.
+/// chain build, star solve, merge, commit) from a profile_phases run.
+/// Serial mode so phase timings are not interleaved across pool threads.
 std::vector<scope::MetricRow> ProfilePhases(const StateStorage& st,
                                             int queue_len, int rounds) {
   sched::DssLcConfig cfg;
@@ -281,7 +273,7 @@ RepsComparison CompareRepetitions() {
 
 void WriteJson(const char* path, int cores,
                const std::vector<SchedComparison>& sched,
-               const WarmVsCold& wc, const E2eComparison& e2e,
+               const E2eComparison& e2e,
                const RepsComparison& reps,
                const std::vector<scope::MetricRow>& phases) {
   std::ofstream out(path);
@@ -299,36 +291,15 @@ void WriteJson(const char* path, int cores,
         << "      \"speedup\": " << c.speedup << ",\n"
         << "      \"identical_assignments\": "
         << (c.identical ? "true" : "false") << ",\n"
+        << "      \"assignment_digest\": \"" << Hex(c.digest) << "\",\n"
         << "      \"steady_state_alloc_events_serial\": "
         << c.serial.steady_alloc_events << ",\n"
         << "      \"steady_state_alloc_events_parallel\": "
         << c.parallel.steady_alloc_events << ",\n"
-        << "      \"memo_hits\": " << c.serial.stats.memo_hits << ",\n"
-        << "      \"warm_solves\": " << c.serial.stats.warm_solves << ",\n"
-        << "      \"cold_solves\": " << c.serial.stats.cold_solves << ",\n"
-        << "      \"star_solves\": " << c.serial.stats.star_solves << ",\n"
-        << "      \"spfa_downgrades\": " << c.serial.stats.spfa_downgrades
-        << ",\n"
-        << "      \"delta_updates\": " << c.serial.stats.delta_updates
+        << "      \"star_solves\": " << c.serial.stats.star_solves
         << "\n    }" << (i + 1 < sched.size() ? "," : "") << "\n";
   }
-  out << "  },\n  \"warm_vs_cold\": {\n"
-      << "    \"label\": \"" << wc.label << "\",\n"
-      << "    \"nodes\": " << wc.nodes << ",\n"
-      << "    \"queue_per_round\": " << wc.queue_len << ",\n"
-      << "    \"cold_rounds_per_sec\": " << wc.cold.rounds_per_sec << ",\n"
-      << "    \"warm_rounds_per_sec\": " << wc.warm.rounds_per_sec << ",\n"
-      << "    \"speedup\": " << wc.speedup << ",\n"
-      << "    \"identical_assignments\": "
-      << (wc.identical ? "true" : "false") << ",\n"
-      << "    \"memo_hits\": " << wc.warm.stats.memo_hits << ",\n"
-      << "    \"warm_solves\": " << wc.warm.stats.warm_solves << ",\n"
-      << "    \"cold_solves\": " << wc.warm.stats.cold_solves << ",\n"
-      << "    \"star_solves\": " << wc.warm.stats.star_solves << ",\n"
-      << "    \"spfa_downgrades\": " << wc.warm.stats.spfa_downgrades << ",\n"
-      << "    \"delta_updates\": " << wc.warm.stats.delta_updates << ",\n"
-      << "    \"avg_deltas_per_warm_solve\": " << wc.avg_deltas << "\n"
-      << "  },\n  \"e2e_sim\": {\n"
+  out << "  },\n  \"e2e_sim\": {\n"
       << "    \"serial_wall_s\": " << e2e.serial_s << ",\n"
       << "    \"parallel_wall_s\": " << e2e.parallel_s << ",\n"
       << "    \"speedup\": " << e2e.speedup << "\n  },\n"
@@ -418,26 +389,10 @@ int main(int argc, char** argv) {
        "identical", "steady allocs (s/p)"},
       rows);
 
-  // TangoSolve warm-start vs cold rebuild on the largest standard view
-  // (or the smoke/custom config when one was requested).
-  const Config wc_cfg = custom || smoke
-                            ? configs.back()
-                            : Config{"large", 16, 16, 4096, 15};
-  const WarmVsCold wc = CompareWarmCold(wc_cfg.label, wc_cfg.clusters,
-                                        wc_cfg.workers, wc_cfg.queue,
-                                        wc_cfg.rounds);
-  std::printf("\n== warm-start vs cold rebuild (serial, %s) ==\n", wc.label);
-  std::printf("  cold %.1f r/s  warm %.1f r/s  (%.2fx)  %s\n",
-              wc.cold.rounds_per_sec, wc.warm.rounds_per_sec, wc.speedup,
-              wc.identical ? "identical" : "DIVERGED");
-  std::printf("  warm rounds: memo %lld  delta %lld  cold %lld  star %lld  "
-              "downgrades %lld  avg %.1f deltas/warm-solve\n",
-              static_cast<long long>(wc.warm.stats.memo_hits),
-              static_cast<long long>(wc.warm.stats.warm_solves),
-              static_cast<long long>(wc.warm.stats.cold_solves),
-              static_cast<long long>(wc.warm.stats.star_solves),
-              static_cast<long long>(wc.warm.stats.spfa_downgrades),
-              wc.avg_deltas);
+  for (const auto& c : sched) {
+    std::printf("  assignment digest (%s): %s\n", c.label,
+                Hex(c.digest).c_str());
+  }
 
   // Per-phase wall-clock breakdown of a round on the large cluster view —
   // where a scheduling round actually spends its time.
@@ -479,24 +434,12 @@ int main(int argc, char** argv) {
     bench::PaperCheck((std::string("steady-state allocations (") + c.label +
                        ")")
                           .c_str(),
-                      "0 MCMF graph allocations",
+                      "0 solver-scratch allocations",
                       std::to_string(c.serial.steady_alloc_events) + "/" +
                           std::to_string(c.parallel.steady_alloc_events),
                       no_alloc);
     ok = ok && c.identical && no_alloc;
   }
-  bench::PaperCheck((std::string("warm == cold assignments (") + wc.label +
-                     ")")
-                        .c_str(),
-                    "byte-identical assignments",
-                    wc.identical ? "identical" : "DIVERGED", wc.identical);
-  const bool warm_used =
-      wc.warm.stats.memo_hits + wc.warm.stats.warm_solves > 0;
-  bench::PaperCheck("warm path exercised", "memo hits + delta re-solves > 0",
-                    std::to_string(wc.warm.stats.memo_hits) + "+" +
-                        std::to_string(wc.warm.stats.warm_solves),
-                    warm_used);
-  ok = ok && wc.identical && warm_used;
   const auto& large = sched.back();
   if (smoke) {
     // Throughput targets are meaningless at smoke scale; only the
@@ -511,12 +454,11 @@ int main(int argc, char** argv) {
   }
 
   if (!smoke && bench::ShouldWriteBench("BENCH_sched.json", cores)) {
-    WriteJson("BENCH_sched.json", cores, sched, wc, e2e, reps, phases);
+    WriteJson("BENCH_sched.json", cores, sched, e2e, reps, phases);
     std::printf("\nwrote BENCH_sched.json\n");
   }
   if (!ok) {
-    std::printf("\nFAILED: identity, allocation or warm-path invariant "
-                "violated\n");
+    std::printf("\nFAILED: identity or allocation invariant violated\n");
     return 1;
   }
   return 0;

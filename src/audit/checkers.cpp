@@ -73,6 +73,16 @@ void CheckUniqueAssignment(SimTime now, std::int32_t request,
                                request));
 }
 
+void CheckStarMatchesSsp(const char* what, std::int32_t chain,
+                         std::int64_t kernel_value, std::int64_t ssp_value) {
+  AUDIT_CHECK(kernel_value == ssp_value, .subsystem = "flow",
+              .invariant = "flow.star_matches_ssp",
+              .detail = Detail("%s (chain %d): star kernel %lld, SSP %lld",
+                               what, chain,
+                               static_cast<long long>(kernel_value),
+                               static_cast<long long>(ssp_value)));
+}
+
 void CheckVersionMonotonic(SimTime now, std::int32_t node,
                            std::uint64_t seen_version,
                            std::uint64_t current_version) {

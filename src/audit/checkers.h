@@ -1,11 +1,11 @@
 // Pure-data invariant checkers.
 //
 // Each function re-states one catalog invariant over plain values, so the
-// wired-in call sites (cgroup.cpp, node.cpp, dss_lc.cpp, system.cpp) and the
-// seeded-bug death tests in tests/audit_test.cpp exercise the exact same
-// code: the call site passes live state, the test passes deliberately
-// corrupt values and expects the abort. Checkers that need subsystem
-// internals are member functions instead (Hierarchy::Audit,
+// wired-in call sites (cgroup.cpp, node.cpp, dss_lc.cpp, mcmf.cpp,
+// system.cpp) and the seeded-bug death tests in tests/audit_test.cpp
+// exercise the exact same code: the call site passes live state, the test
+// passes deliberately corrupt values and expects the abort. Checkers that
+// need subsystem internals are member functions instead (Hierarchy::Audit,
 // MinCostMaxFlow::AuditSolution, Simulator::AuditHeap).
 //
 // All of these compile to empty functions when TANGO_AUDIT is off.
@@ -54,6 +54,13 @@ void CheckLcTargetUsable(SimTime now, std::int32_t node, bool usable);
 /// request twice.
 void CheckUniqueAssignment(SimTime now, std::int32_t request,
                            bool already_assigned);
+
+/// flow.star_matches_ssp (§5.2.2): the closed-form dispatch-star kernel
+/// must reproduce the SSP reference solver exactly. `what` names the
+/// compared quantity ("chain flow", "max flow", "total cost"); `chain` is
+/// the chain index, or -1 for a whole-solution quantity.
+void CheckStarMatchesSsp(const char* what, std::int32_t chain,
+                         std::int64_t kernel_value, std::int64_t ssp_value);
 
 /// sync.version_monotonic: a worker's state_version only advances, so a
 /// master's seen-version may never be ahead of the worker it tracks.

@@ -44,8 +44,6 @@ const char* SplitPolicyName(SplitPolicy p) {
       return "random";
     case SplitPolicy::kFifo:
       return "fifo";
-    case SplitPolicy::kDeadline:
-      return "deadline";
   }
   return "?";
 }
@@ -58,140 +56,61 @@ DssLcScheduler::DssLcScheduler(const workload::ServiceCatalog* catalog,
     pool_ = std::make_unique<ThreadPool>(
         cfg_.num_threads == 0 ? 0 : cfg_.num_threads - 1);
   }
+  slot_scratch_.resize(static_cast<std::size_t>(concurrency()));
   m_rounds_ = &metrics_.GetCounter("sched.rounds");
   m_assigned_ = &metrics_.GetCounter("sched.assigned");
   m_overflow_ = &metrics_.GetCounter("sched.overflow");
   h_round_ = &metrics_.GetHistogram("sched.round_us");
   h_snapshot_ = &metrics_.GetHistogram("sched.phase.snapshot_us");
   h_graph_build_ = &metrics_.GetHistogram("sched.phase.graph_build_us");
-  h_delta_build_ = &metrics_.GetHistogram("sched.phase.delta_build_us");
   h_solve_ = &metrics_.GetHistogram("sched.phase.mcmf_solve_us");
   h_merge_ = &metrics_.GetHistogram("sched.phase.merge_us");
   h_commit_ = &metrics_.GetHistogram("sched.phase.commit_us");
 }
 
-TANGO_HOT std::vector<std::int64_t> DssLcScheduler::Route(
-    WarmGraph& g, const std::vector<WorkerCap>& workers, std::int64_t amount,
-    bool use_total, double lambda) {
-  // Node layout: 0 = source, 1 = master, 2..n+1 = workers, n+2 = sink.
-  // Every worker gets its arc pair even at zero capacity: a zero-cap arc
-  // never carries flow, but the fixed structure is what lets the next
-  // round diff into the same graph instead of rebuilding it.
+TANGO_HOT std::span<const std::int64_t> DssLcScheduler::Route(
+    RouteScratch& scratch, const std::vector<WorkerCap>& workers,
+    std::int64_t amount, bool use_total, double lambda) {
   std::chrono::steady_clock::time_point t_build;
   // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing state)
   if (cfg_.profile_phases) t_build = std::chrono::steady_clock::now();
-  const int n = static_cast<int>(workers.size());
-  const auto nz = static_cast<std::size_t>(n);
-  const int source = 0, master = 1, sink = n + 2;
-  const auto eff_cap = [&](const WorkerCap& w) {
+  // One chain per worker: master → worker transmission (cost = delay,
+  // cap = c_ij) then worker → sink processing capacity (Eq. 5), so the
+  // chain carries at most min(c_ij, t_i^k).
+  scratch.chains.clear();
+  for (const WorkerCap& w : workers) {
     std::int64_t cap = w.capacity;
     if (use_total) {
       cap = static_cast<std::int64_t>(
           std::ceil(static_cast<double>(w.total_capacity) * lambda));
     }
-    return std::max<std::int64_t>(0, cap);
-  };
-
-  // Warm when the worker-node sequence matches what the graph was built
-  // for; node churn (failover, scale events) forces a cold rebuild.
-  bool warm = cfg_.warm_start && g.built && g.nodes.size() == nz;
-  for (std::size_t i = 0; warm && i < nz; ++i) {
-    warm = g.nodes[i] == workers[i].node;
+    cap = std::max<std::int64_t>(0, cap);
+    // TANGOVET_ALLOW_NEXT(amortized: chain array pre-grown at round start)
+    scratch.chains.push_back({w.cost, std::min(cap, cfg_.edge_capacity)});
   }
-
-  flow::MinCostMaxFlow& mcmf = g.solver;
-  if (warm) {
-    // Delta path: diff the round view against the previous build and feed
-    // only the changes to the solver (arc ids fixed by construction order).
-    mcmf.BeginRound();
-    if (amount != g.prev_amount) {
-      mcmf.UpdateArc(0, amount, 0);
-      g.prev_amount = amount;
-    }
-    for (int i = 0; i < n; ++i) {
-      const auto zi = static_cast<std::size_t>(i);
-      const WorkerCap& w = workers[zi];
-      const std::int64_t cap = eff_cap(w);
-      const std::int64_t edge = std::min(cap, cfg_.edge_capacity);
-      if (edge != g.prev_edge_cap[zi] || w.cost != g.prev_edge_cost[zi]) {
-        mcmf.UpdateArc(1 + 2 * i, edge, w.cost);
-        g.prev_edge_cap[zi] = edge;
-        g.prev_edge_cost[zi] = w.cost;
-      }
-      if (cap != g.prev_sink_cap[zi]) {
-        mcmf.UpdateArc(2 + 2 * i, cap, 0);
-        g.prev_sink_cap[zi] = cap;
-      }
-    }
-    if (cfg_.profile_phases) {
-      // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing)
-      const auto t_solve = std::chrono::steady_clock::now();
-      h_delta_build_->Observe(
-          static_cast<std::int64_t>(ElapsedUs(t_build, t_solve)));
-      mcmf.SolveIncremental(source, sink, amount);
-      h_solve_->Observe(static_cast<std::int64_t>(
-          // TANGOVET_ALLOW_NEXT(profiling: timing never feeds routing)
-          ElapsedUs(t_solve, std::chrono::steady_clock::now())));
-    } else {
-      mcmf.SolveIncremental(source, sink, amount);
-    }
-  } else {
-    mcmf.Reset(n + 3);
-    // Exact arc bound: source→master plus two arcs per worker. The reserve
-    // keeps AddArc from growing storage mid-build; once the solver has seen
-    // its largest round, later rounds reuse that capacity.
-    mcmf.ReserveArcs(static_cast<std::size_t>(2 * n + 1));
-    mcmf.AddArc(source, master, amount, 0);
-    // TANGOVET_ALLOW_NEXT(cold rebuild: node-churn path, warm rounds skip it)
-    g.nodes.assign(nz, NodeId{});
-    // TANGOVET_ALLOW_NEXT(cold rebuild: node-churn path, warm rounds skip it)
-    g.prev_edge_cap.assign(nz, 0);
-    // TANGOVET_ALLOW_NEXT(cold rebuild: node-churn path, warm rounds skip it)
-    g.prev_edge_cost.assign(nz, 0);
-    // TANGOVET_ALLOW_NEXT(cold rebuild: node-churn path, warm rounds skip it)
-    g.prev_sink_cap.assign(nz, 0);
-    for (int i = 0; i < n; ++i) {
-      const auto zi = static_cast<std::size_t>(i);
-      const WorkerCap& w = workers[zi];
-      const std::int64_t cap = eff_cap(w);
-      const std::int64_t edge = std::min(cap, cfg_.edge_capacity);
-      // master → worker: transmission edge (cost = delay, cap = c_ij),
-      // then worker → sink: processing capacity (Eq. 5).
-      mcmf.AddArc(master, 2 + i, edge, w.cost);
-      mcmf.AddArc(2 + i, sink, cap, 0);
-      g.nodes[zi] = w.node;
-      g.prev_edge_cap[zi] = edge;
-      g.prev_edge_cost[zi] = w.cost;
-      g.prev_sink_cap[zi] = cap;
-    }
-    g.prev_amount = amount;
-    g.built = true;
-    if (cfg_.profile_phases) {
-      // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing)
-      const auto t_solve = std::chrono::steady_clock::now();
-      h_graph_build_->Observe(
-          static_cast<std::int64_t>(ElapsedUs(t_build, t_solve)));
-      mcmf.Solve(source, sink, amount);
-      h_solve_->Observe(static_cast<std::int64_t>(
-          // TANGOVET_ALLOW_NEXT(profiling: timing never feeds routing)
-          ElapsedUs(t_solve, std::chrono::steady_clock::now())));
-    } else {
-      mcmf.Solve(source, sink, amount);
-    }
+  std::chrono::steady_clock::time_point t_solve;
+  if (cfg_.profile_phases) {
+    // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing)
+    t_solve = std::chrono::steady_clock::now();
+    h_graph_build_->Observe(
+        static_cast<std::int64_t>(ElapsedUs(t_build, t_solve)));
+  }
+  const auto counts =
+      flow::SolveDispatchStar(scratch.chains, amount, scratch.star);
+  if (cfg_.profile_phases) {
+    h_solve_->Observe(static_cast<std::int64_t>(
+        // TANGOVET_ALLOW_NEXT(profiling: timing never feeds routing)
+        ElapsedUs(t_solve, std::chrono::steady_clock::now())));
   }
   solves_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::int64_t> out(nz, 0);
-  for (int i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)] = mcmf.Flow(1 + 2 * i);
-  }
-  return out;
+  return counts;
 }
 
 DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
     ServiceId svc_id, const std::vector<const PendingRequest*>& requests,
     const std::vector<metrics::NodeSnapshot>& snapshots,
     const metrics::StateStorage& storage, SimTime now, std::uint64_t round,
-    TypeSolvers& ts) {
+    RouteScratch& scratch) {
   (void)now;
   TypeOutcome outcome;
   const auto& svc = catalog_->Get(svc_id);
@@ -263,21 +182,11 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
                          return a->request.arrival < b->request.arrival;
                        });
       break;
-    case SplitPolicy::kDeadline: {
-      const SimDuration target = svc.qos_target;
-      std::stable_sort(ordered.begin(), ordered.end(),
-                       [target](const PendingRequest* a,
-                                const PendingRequest* b) {
-                         return a->request.arrival + target <
-                                b->request.arrival + target;
-                       });
-      break;
-    }
   }
 
   // Per-worker commitment totals, turned into NodeCommits after assigning.
   std::vector<std::int64_t> assigned_per_worker(workers.size(), 0);
-  auto assign_counts = [&](const std::vector<std::int64_t>& counts,
+  auto assign_counts = [&](std::span<const std::int64_t> counts,
                            std::size_t first_request,
                            std::size_t n_requests) {
     std::size_t cursor = first_request;
@@ -295,7 +204,7 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
   if (pending <= total_capacity) {
     // Case 1: capacity suffices — one graph G_k.
     const auto counts =
-        Route(ts.immediate, workers, pending, /*use_total=*/false, 0.0);
+        Route(scratch, workers, pending, /*use_total=*/false, 0.0);
     assign_counts(counts, 0, static_cast<std::size_t>(pending));
   } else {
     // Case 2: overload — split into R_k (immediate) and R'_k (queued).
@@ -303,7 +212,7 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
     const std::int64_t overflow = pending - immediate;
     if (immediate > 0) {
       const auto counts =
-          Route(ts.immediate, workers, immediate, /*use_total=*/false, 0.0);
+          Route(scratch, workers, immediate, /*use_total=*/false, 0.0);
       assign_counts(counts, 0, static_cast<std::size_t>(immediate));
     }
     // λ scales total-resource capacities so Ĝ'_k fits exactly R'_k (Eq. 8).
@@ -313,7 +222,7 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
       outcome.lambda = static_cast<double>(overflow) /
                        static_cast<double>(total_res_capacity);
       outcome.overloaded = true;
-      const auto counts = Route(ts.overflow, workers, overflow,
+      const auto counts = Route(scratch, workers, overflow,
                                 /*use_total=*/true, outcome.lambda);
       assign_counts(counts, static_cast<std::size_t>(immediate),
                     static_cast<std::size_t>(overflow));
@@ -388,47 +297,32 @@ std::vector<Assignment> DssLcScheduler::Schedule(
         ElapsedUs(t0, std::chrono::steady_clock::now())));
   }
 
-  // Fan the independent per-type graphs G_k out over the pool. Each type
-  // owns a warm solver pair (TangoSolve): entries are created serially here
-  // before the fan-out, so pool threads only ever dereference their own
-  // type's pointer and the map is never mutated concurrently. A type is
-  // always solved against its own warm state regardless of which pool slot
-  // claims it, which is what keeps serial and parallel runs identical.
+  // Fan the independent per-type graphs G_k out over the pool. A type is
+  // solved in whichever slot claims it, against that slot's scratch; the
+  // kernel overwrites the scratch on every call, so serial and parallel
+  // runs stay identical. Each slot is pre-grown here to this round's
+  // worst case (one chain per usable worker) so no solve allocates.
   const auto round_index = static_cast<std::uint64_t>(decisions_);
   std::vector<ServiceId> svc_order;
   std::vector<const std::vector<const PendingRequest*>*> svc_requests;
-  std::vector<TypeSolvers*> states;
   svc_order.reserve(by_type.size());
   svc_requests.reserve(by_type.size());
-  states.reserve(by_type.size());
-  // Graphs that have not been built yet (e.g. a type's overflow Ĝ'_k
-  // before its first overload) are pre-grown to this round's worst-case
-  // size here, so their eventual first cold build mid-steady-state reuses
-  // storage instead of allocating.
-  const int max_nodes = static_cast<int>(snapshots.size()) + 3;
-  const auto max_arcs = static_cast<std::size_t>(2 * snapshots.size() + 1);
-  const auto prewarm = [&](WarmGraph& g) {
-    if (g.built || g.solver.num_nodes() >= max_nodes) return;
-    g.solver.Reset(max_nodes);
-    g.solver.ReserveArcs(max_arcs);
-    g.nodes.reserve(snapshots.size());
-    g.prev_edge_cap.reserve(snapshots.size());
-    g.prev_edge_cost.reserve(snapshots.size());
-    g.prev_sink_cap.reserve(snapshots.size());
-  };
   for (const auto& [svc_id, requests] : by_type) {
     svc_order.push_back(svc_id);
     svc_requests.push_back(&requests);
-    auto& entry = type_solvers_[svc_id];
-    if (entry == nullptr) entry = std::make_unique<TypeSolvers>();
-    prewarm(entry->immediate);
-    prewarm(entry->overflow);
-    states.push_back(entry.get());
+  }
+  for (auto& slot : slot_scratch_) {
+    const bool chains_grow = snapshots.size() > slot.chains.capacity();
+    slot.chains.reserve(snapshots.size());
+    if (slot.star.Reserve(snapshots.size()) || chains_grow) {
+      ++scratch_alloc_events_;
+    }
   }
   std::vector<TypeOutcome> outcomes(svc_order.size());
-  const auto run_type = [&](std::size_t i, int /*worker_slot*/) {
-    outcomes[i] = ScheduleType(svc_order[i], *svc_requests[i], snapshots,
-                               storage, now, round_index, *states[i]);
+  const auto run_type = [&](std::size_t i, int worker_slot) {
+    outcomes[i] = ScheduleType(
+        svc_order[i], *svc_requests[i], snapshots, storage, now, round_index,
+        slot_scratch_[static_cast<std::size_t>(worker_slot)]);
   };
   if (pool_ != nullptr) {
     pool_->ParallelFor(svc_order.size(), run_type);
@@ -516,21 +410,10 @@ std::vector<Assignment> DssLcScheduler::Schedule(
 
 DssLcScheduler::SolverPoolStats DssLcScheduler::solver_pool_stats() const {
   SolverPoolStats stats;
+  stats.solvers = static_cast<int>(slot_scratch_.size());
   stats.solves = solves_.load(std::memory_order_relaxed);
-  for (const auto& [svc_id, ts] : type_solvers_) {
-    (void)svc_id;
-    for (const auto* g : {&ts->immediate, &ts->overflow}) {
-      stats.solvers += 1;
-      const auto& s = g->solver;
-      stats.alloc_events += s.alloc_events();
-      stats.memo_hits += s.memo_hits();
-      stats.warm_solves += s.warm_solves();
-      stats.cold_solves += s.cold_solves();
-      stats.star_solves += s.star_solves();
-      stats.spfa_downgrades += s.spfa_downgrades();
-      stats.delta_updates += s.delta_updates();
-    }
-  }
+  stats.alloc_events = scratch_alloc_events_;
+  stats.star_solves = stats.solves;
   return stats;
 }
 

@@ -22,21 +22,19 @@
 // Under a fixed seed the emitted assignments are therefore byte-identical
 // whatever num_threads is — serial mode is just the pool-free special case.
 //
-// TangoSolve warm start (DESIGN.md §14): each (service type, graph kind ∈
-// {immediate G_k, overflow Ĝ'_k}) pair owns a MinCostMaxFlow that stays
-// warm across rounds. At round start the worker capacity/cost view is
-// diffed against what the solver was last built with; unchanged rounds hit
-// the solver's memo, changed rounds route UpdateArc deltas in and
-// SolveIncremental re-solves warm — byte-identical to a cold rebuild
-// (DssLcConfig::warm_start = false forces the cold path for comparison).
-// A type is only ever solved by the thread that claimed it, so the warm
-// state preserves the serial/parallel identity contract, and steady-state
-// rounds perform zero flow-graph allocations (see solver_pool_stats()).
+// Every G_k / Ĝ'_k is a dispatch star (source → master → workers → sink), so
+// Route hands the per-worker chains (delay cost, capacity min(c_ij, t_i^k))
+// straight to flow::SolveDispatchStar — no arc graph is built. Each
+// thread-pool slot owns one reusable chain array and kernel scratch,
+// pre-grown at round start, so steady-state rounds allocate no solver
+// storage (see solver_pool_stats()). The kernel fully overwrites its
+// scratch, so which slot solves a type never affects the result.
 #pragma once
 
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,7 +47,7 @@ namespace tango::sched {
 
 /// ρ(·): how the overload split orders requests. The paper uses random
 /// (all LC services share one priority) and notes the policy is pluggable.
-enum class SplitPolicy { kRandom, kFifo, kDeadline };
+enum class SplitPolicy { kRandom, kFifo };
 const char* SplitPolicyName(SplitPolicy p);
 
 struct DssLcConfig {
@@ -63,15 +61,10 @@ struct DssLcConfig {
   /// plus the scheduling thread). Assignments are identical for any value.
   int num_threads = 1;
   /// Record a wall-clock profile of each round's phases (snapshot filter,
-  /// graph build / delta build, MCMF solve, merge, commit) into the
-  /// scheduler's metric registry. Off by default: the extra steady_clock
-  /// reads sit on the per-type hot path.
+  /// chain build, star solve, merge, commit) into the scheduler's metric
+  /// registry. Off by default: the extra steady_clock reads sit on the
+  /// per-type hot path.
   bool profile_phases = false;
-  /// Keep per-type solvers warm across rounds and route capacity/cost
-  /// deltas into them (SolveIncremental) instead of rebuilding each G_k
-  /// from scratch. Assignments are byte-identical either way; false forces
-  /// the cold rebuild path (used by the warm_vs_cold bench comparison).
-  bool warm_start = true;
 };
 
 class DssLcScheduler : public k8s::LcScheduler {
@@ -102,20 +95,20 @@ class DssLcScheduler : public k8s::LcScheduler {
     return pool_ != nullptr ? pool_->concurrency() : 1;
   }
 
-  /// Reuse statistics of the per-(type, graph) MinCostMaxFlow pool. A flat
-  /// `alloc_events` across rounds proves steady-state rounds build their
-  /// flow graphs without touching the heap; the warm-start counters expose
-  /// how rounds were actually answered (memo / warm delta / cold rebuild).
+  /// Reuse statistics of the per-slot solver scratch. A flat
+  /// `alloc_events` across rounds proves steady-state rounds route without
+  /// touching the heap for solver storage.
   struct SolverPoolStats {
-    int solvers = 0;                // solver instances instantiated
-    std::int64_t solves = 0;        // flow instances solved so far
-    std::int64_t alloc_events = 0;  // Σ solver alloc_events()
-    std::int64_t memo_hits = 0;     // rounds answered from the memo
-    std::int64_t warm_solves = 0;   // warm (delta) re-solves
-    std::int64_t cold_solves = 0;   // cold generic solves
-    std::int64_t star_solves = 0;   // dispatch-star kernel solves
-    std::int64_t spfa_downgrades = 0;  // warm rounds that fell back cold
-    std::int64_t delta_updates = 0;    // Σ UpdateArc deltas routed in
+    int solvers = 0;                // per-slot scratch instances
+    std::int64_t solves = 0;        // star instances solved so far
+    std::int64_t alloc_events = 0;  // times a slot's scratch had to grow
+    std::int64_t star_solves = 0;   // dispatch-star kernel solves (= solves)
+    // Always 0 (the star kernel is DSS-LC's only solve path); kept only so
+    // TangoBench's per-layer schema (flow.warm_solves / memo_hits /
+    // cold_solves) holds.
+    std::int64_t warm_solves = 0;
+    std::int64_t memo_hits = 0;
+    std::int64_t cold_solves = 0;
   };
   SolverPoolStats solver_pool_stats() const;
 
@@ -157,53 +150,37 @@ class DssLcScheduler : public k8s::LcScheduler {
     std::int64_t overflow = 0;
   };
 
-  /// One warm flow graph: the solver retains the previous round's G_k and
-  /// the prev_* arrays hold the values it was last built with, so the next
-  /// round's view diffs into an UpdateArc delta list. Arc ids are fixed by
-  /// construction order: 0 = source→master, 1+2i = master→worker i,
-  /// 2+2i = worker i→sink.
-  struct WarmGraph {
-    flow::MinCostMaxFlow solver;
-    bool built = false;
-    std::vector<NodeId> nodes;  // worker identity the graph was built for
-    std::vector<std::int64_t> prev_edge_cap;   // master→worker capacity
-    std::vector<std::int64_t> prev_edge_cost;  // master→worker cost
-    std::vector<std::int64_t> prev_sink_cap;   // worker→sink capacity
-    std::int64_t prev_amount = -1;
-  };
-  /// Warm graphs for one service type: the immediate G_k and the λ-scaled
-  /// overflow Ĝ'_k. Only the thread that claimed the type touches it.
-  struct TypeSolvers {
-    WarmGraph immediate;
-    WarmGraph overflow;
+  /// One pool slot's reusable solver storage: the chain array Route fills
+  /// and the kernel scratch. Only the slot's own thread touches it.
+  struct RouteScratch {
+    std::vector<flow::StarChain> chains;
+    flow::StarScratch star;
   };
 
-  /// Solve one type's graph(s) against the round-start state view using the
-  /// type's warm solvers. Pure w.r.t. scheduler state except for `ts` and
-  /// the atomic solve counter.
+  /// Solve one type's graph(s) against the round-start state view using
+  /// the claiming slot's scratch. Pure w.r.t. scheduler state except for
+  /// `scratch` and the atomic solve counter.
   TypeOutcome ScheduleType(ServiceId svc,
                            const std::vector<const k8s::PendingRequest*>& reqs,
                            const std::vector<metrics::NodeSnapshot>& snapshots,
                            const metrics::StateStorage& storage, SimTime now,
-                           std::uint64_t round, TypeSolvers& ts);
+                           std::uint64_t round, RouteScratch& scratch);
 
-  /// Route `amount` requests across workers via min-cost flow on the warm
-  /// graph `g` (delta path when the worker set matches what `g` was built
-  /// for, cold rebuild otherwise); returns per-worker counts aligned with
-  /// `workers`.
-  std::vector<std::int64_t> Route(WarmGraph& g,
-                                  const std::vector<WorkerCap>& workers,
-                                  std::int64_t amount, bool use_total,
-                                  double lambda);
+  /// Route `amount` requests across workers via the dispatch-star kernel;
+  /// returns per-worker counts aligned with `workers`, valid until
+  /// `scratch` is reused.
+  std::span<const std::int64_t> Route(RouteScratch& scratch,
+                                      const std::vector<WorkerCap>& workers,
+                                      std::int64_t amount, bool use_total,
+                                      double lambda);
 
   const workload::ServiceCatalog* catalog_;
   DssLcConfig cfg_;
   /// Created when cfg_.num_threads != 1; absent in serial mode.
   std::unique_ptr<ThreadPool> pool_;
-  /// Warm solver pair per service type ever scheduled. Entries are created
-  /// serially at round start; pool threads only dereference their own
-  /// type's pointer, so the map itself is never mutated concurrently.
-  std::map<ServiceId, std::unique_ptr<TypeSolvers>> type_solvers_;
+  /// One scratch per pool slot (index = ParallelFor worker slot).
+  std::vector<RouteScratch> slot_scratch_;
+  std::int64_t scratch_alloc_events_ = 0;
   std::atomic<std::int64_t> solves_{0};  // Route calls (pool threads write)
   double decision_seconds_ = 0.0;
   std::int64_t decisions_ = 0;
@@ -231,7 +208,6 @@ class DssLcScheduler : public k8s::LcScheduler {
   scope::Histogram* h_round_ = nullptr;
   scope::Histogram* h_snapshot_ = nullptr;
   scope::Histogram* h_graph_build_ = nullptr;
-  scope::Histogram* h_delta_build_ = nullptr;
   scope::Histogram* h_solve_ = nullptr;
   scope::Histogram* h_merge_ = nullptr;
   scope::Histogram* h_commit_ = nullptr;

@@ -5,8 +5,8 @@
 // pops events in (time, sequence) order so simultaneous events retain
 // insertion order and the simulation stays deterministic.
 //
-// The engine is built for zero steady-state heap allocations (counted, like
-// flow::MinCostMaxFlow's alloc_events()):
+// The engine is built for zero steady-state heap allocations, counted by
+// alloc_events():
 //   - events live in a pooled slot array that is recycled through a
 //     freelist, so ScheduleAt reuses storage once the pool has grown to the
 //     high-water mark of simultaneously pending events;
@@ -185,8 +185,8 @@ class Simulator {
   /// Execute a single event; returns false if the queue is empty.
   bool Step();
 
-  /// Pre-grow the event pool (not counted as allocation events), mirroring
-  /// MinCostMaxFlow::ReserveArcs for warm-up-free benchmarks.
+  /// Pre-grow the event pool (not counted as allocation events) for
+  /// warm-up-free benchmarks.
   void ReserveEvents(std::size_t n);
 
   /// Exact number of events currently scheduled (cancelled events are

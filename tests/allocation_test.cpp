@@ -15,7 +15,7 @@
 #include "storm/source.h"
 
 // TU-global counting operator new: this binary's strongest-scope version of
-// the alloc_events counter pattern (flow::McmfSolver, sim::Simulator).
+// the alloc_events counter pattern (sim::Simulator).
 // Every heap allocation in the process bumps the counter, so a snapshot
 // taken around a hot loop proves the loop allocation-free.
 static std::int64_t g_alloc_events = 0;

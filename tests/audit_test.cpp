@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "audit/audit.h"
 #include "audit/checkers.h"
 #include "cgroup/cgroup.h"
@@ -31,6 +33,8 @@ TEST(AuditDisabled, CheckersAreInert) {
   audit::checks::CheckUniqueAssignment(0, 1, /*already_assigned=*/true);
   audit::checks::CheckVersionMonotonic(0, 1, /*seen=*/9, /*current=*/3);
   audit::checks::CheckDeltaIdentity(0, 1, /*contents_match=*/false);
+  audit::checks::CheckStarMatchesSsp("chain flow", 0, /*kernel_value=*/3,
+                                     /*ssp_value=*/2);
   audit::checks::CheckCgroupBound(100, 200, "cpu.cfs_quota_us", "p/c");
   DvpaOrderChecker order(0, 1, 2);
   order.BeginKind("cpu.cfs_quota_us", 100, 50);  // shrink
@@ -234,6 +238,23 @@ TEST(AuditCore, FlowSolveSelfAuditsClean) {
   const auto result = mcmf.Solve(0, 3);
   EXPECT_EQ(result.max_flow, 7);
   EXPECT_GT(audit::checks_run(), before);  // Solve ran AuditSolution itself
+}
+
+TEST(AuditDeathTest, StarKernelDivergesFromSsp) {
+  // A kernel that broke an equal-cost tie the other way would move one
+  // unit between two chains; the oracle comparison must abort on it.
+  EXPECT_DEATH(audit::checks::CheckStarMatchesSsp("chain flow", 1, 3, 2),
+               "AUDIT VIOLATION.*flow.star_matches_ssp");
+}
+
+TEST(AuditCore, DispatchStarSelfAuditsAgainstSsp) {
+  const std::int64_t before = audit::checks_run();
+  flow::StarScratch scratch;
+  const std::vector<flow::StarChain> chains = {{4, 2}, {1, 3}, {4, 5}};
+  const auto flows = flow::SolveDispatchStar(chains, 7, scratch);
+  EXPECT_EQ(std::vector<flow::FlowUnit>(flows.begin(), flows.end()),
+            (std::vector<flow::FlowUnit>{2, 3, 2}));
+  EXPECT_GT(audit::checks_run(), before);  // the SSP oracle ran
 }
 
 // --- simulator event heap ------------------------------------------------

@@ -201,7 +201,7 @@ TEST_P(SplitPolicyTest, OverloadStillDispatchesEverything) {
   StateStorage st;
   AddWorker(st, 1, 0, 400, 4096, kMillisecond, 4000, 8192);
   auto q = Queue(10);
-  // Stagger arrivals so FIFO/deadline orders are distinct from id order.
+  // Stagger arrivals so the FIFO order is distinct from id order.
   for (std::size_t i = 0; i < q.size(); ++i) {
     q[i].request.arrival = static_cast<SimTime>((10 - i) * kMillisecond);
   }
@@ -211,8 +211,7 @@ TEST_P(SplitPolicyTest, OverloadStillDispatchesEverything) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, SplitPolicyTest,
                          ::testing::Values(SplitPolicy::kRandom,
-                                           SplitPolicy::kFifo,
-                                           SplitPolicy::kDeadline),
+                                           SplitPolicy::kFifo),
                          [](const auto& param_info) {
                            return std::string(
                                SplitPolicyName(param_info.param));
@@ -263,8 +262,7 @@ TEST_F(ParallelDssFixture, ParallelIsByteIdenticalToSerial) {
   // + sorted merge ⇒ identical output for any thread count, across seeds,
   // split policies, and multiple rounds (overloaded and not).
   for (const std::uint64_t seed : {1ull, 97ull, 4242ull}) {
-    for (const auto policy :
-         {SplitPolicy::kRandom, SplitPolicy::kFifo, SplitPolicy::kDeadline}) {
+    for (const auto policy : {SplitPolicy::kRandom, SplitPolicy::kFifo}) {
       DssLcConfig serial_cfg;
       serial_cfg.seed = seed;
       serial_cfg.split_policy = policy;
@@ -309,14 +307,15 @@ TEST_F(ParallelDssFixture, SteadyStateRoundsAllocateNoGraphStorage) {
   cfg.num_threads = 4;
   DssLcScheduler dss(&catalog, cfg);
   StateStorage st = MakeStorage(16, 11);
-  // Warm-up rounds grow each type's warm solver pair to its working set.
+  // Warm-up rounds grow each pool slot's scratch to the working set.
   for (int round = 0; round < 3; ++round) {
     dss.Schedule(ClusterId{0}, MixedQueue(200, round * 100 * kMillisecond),
                  st, round * 100 * kMillisecond);
   }
   const auto warm = dss.solver_pool_stats();
-  EXPECT_EQ(warm.solvers, 2 * 5);  // immediate + overflow per LC type
+  EXPECT_EQ(warm.solvers, 4);  // one scratch per pool slot
   EXPECT_GT(warm.solves, 0);
+  EXPECT_EQ(warm.star_solves, warm.solves);
   for (int round = 3; round < 10; ++round) {
     dss.Schedule(ClusterId{0}, MixedQueue(200, round * 100 * kMillisecond),
                  st, round * 100 * kMillisecond);
@@ -324,41 +323,45 @@ TEST_F(ParallelDssFixture, SteadyStateRoundsAllocateNoGraphStorage) {
   const auto steady = dss.solver_pool_stats();
   EXPECT_GT(steady.solves, warm.solves);
   EXPECT_EQ(steady.alloc_events, warm.alloc_events)
-      << "steady-state rounds must reuse solver storage, not allocate";
+      << "steady-state rounds must reuse solver scratch, not allocate";
 }
 
-TEST_F(ParallelDssFixture, WarmStartMatchesColdRebuildAcrossDriftingRounds) {
-  // TangoSolve correctness bar: the warm delta path must emit byte-identical
-  // assignments to a from-scratch rebuild every round, while the load, the
-  // commitments, and hence every graph's capacities drift between rounds.
-  DssLcConfig warm_cfg;
-  warm_cfg.warm_start = true;
-  DssLcConfig cold_cfg;
-  cold_cfg.warm_start = false;
-  DssLcScheduler warm(&catalog, warm_cfg);
-  DssLcScheduler cold(&catalog, cold_cfg);
+/// FNV-1a over every assignment's (request, target) in emission order.
+std::uint64_t FoldAssignments(std::uint64_t h,
+                              const std::vector<Assignment>& as) {
+  const auto fold = [&h](std::int32_t v) {
+    auto u = static_cast<std::uint32_t>(v);
+    for (int byte = 0; byte < 4; ++byte) {
+      h = (h ^ (u & 0xFFu)) * 1099511628211ULL;
+      u >>= 8;
+    }
+  };
+  fold(static_cast<std::int32_t>(as.size()));
+  for (const auto& a : as) {
+    fold(a.request.value);
+    fold(a.target.value);
+  }
+  return h;
+}
+
+TEST_F(ParallelDssFixture, DriftingRoundsMatchPinnedDigest) {
+  // Twelve rounds whose load, commitments and hence every graph's
+  // capacities drift between rounds, oscillating between the underload
+  // single-graph case and the overload split. The digest was captured
+  // from the generic-graph implementation this kernel replaced; any
+  // change to routing, tie-breaking or the overload split moves it.
+  DssLcScheduler dss(&catalog);
   StateStorage st = MakeStorage(12, 29);
+  std::uint64_t digest = 14695981039346656037ULL;
   for (int round = 0; round < 12; ++round) {
     const SimTime now = round * 100 * kMillisecond;
-    // Oscillating queue depth exercises both the underload single-graph
-    // case and the overload split, plus amount-only deltas.
     const int depth = (round % 3 == 0) ? 500 : 40 + 15 * round;
-    const auto q = MixedQueue(depth, now);
-    const auto a = warm.Schedule(ClusterId{0}, q, st, now);
-    const auto b = cold.Schedule(ClusterId{0}, q, st, now);
-    ExpectSameAssignments(a, b);
+    digest = FoldAssignments(
+        digest, dss.Schedule(ClusterId{0}, MixedQueue(depth, now), st, now));
   }
-  EXPECT_EQ(warm.overflow_routed(), cold.overflow_routed());
-  EXPECT_DOUBLE_EQ(warm.last_lambda(), cold.last_lambda());
-  // The warm scheduler must actually have taken the warm path: after the
-  // first round every Route call diffs into an existing graph.
-  const auto ws = warm.solver_pool_stats();
-  EXPECT_GT(ws.memo_hits + ws.warm_solves, 0)
-      << "warm_start=true never exercised the incremental path";
-  const auto cs = cold.solver_pool_stats();
-  EXPECT_EQ(cs.memo_hits, 0);
-  EXPECT_EQ(cs.warm_solves, 0);
-  EXPECT_EQ(cs.delta_updates, 0);
+  EXPECT_EQ(digest, 0xd9b72c0e5a461556ULL)
+      << std::hex << "digest 0x" << digest;
+  EXPECT_GT(dss.overflow_routed(), 0);
 }
 
 TEST_F(ParallelDssFixture, CommittedMapsAreBoundedByDecayEviction) {

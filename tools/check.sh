@@ -101,9 +101,10 @@ if [[ "$what" == "all" || "$what" == "audit" ]]; then
   # Full suite with every AUDIT_CHECK live: any invariant violation aborts
   # the offending test with a structured report.
   run_config audit "$repo_root/build-audit" -DTANGO_AUDIT=ON -DTANGO_WERROR=ON
-  # TangoSolve smoke: warm == cold assignment identity, zero steady-state
-  # MCMF allocations and warm-path coverage with the reduced-cost audit
-  # certificates live on every warm solution. Run from the build dir so the
+  # Scheduling smoke: parallel == serial assignment identity and zero
+  # steady-state solver-scratch allocations, with every dispatch-star
+  # kernel call re-solved by the SSP oracle (flow.star_matches_ssp) and the
+  # oracle's reduced-cost certificates live. Run from the build dir so the
   # smoke run never touches a committed BENCH_*.json.
   echo "== [audit] perf_sched --smoke =="
   (cd "$repo_root/build-audit" && bench/perf_sched --smoke)

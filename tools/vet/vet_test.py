@@ -104,8 +104,8 @@ class RepoTreeTest(unittest.TestCase):
              "--list-functions"],
             capture_output=True, text=True)
         hot = [l for l in proc.stdout.splitlines() if l.endswith(" HOT")]
-        for needle in ("MinCostMaxFlow::Solve", "MinCostMaxFlow::"
-                       "SolveIncremental", "DssLcScheduler::Route",
+        for needle in ("MinCostMaxFlow::Solve", "flow::SolveDispatchStar",
+                       "DssLcScheduler::Route",
                        "Simulator::RunUntil", "ShardEngine::RunShardEpoch",
                        "PackedMlp::Forward"):
             self.assertTrue(any(needle in l for l in hot),
