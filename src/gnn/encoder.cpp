@@ -107,6 +107,8 @@ bool Encoder::EncodeInference(const GraphBatch& /*g*/, Rng& /*rng*/,
   return false;
 }
 
+void Encoder::AdvancePastEncode(const GraphBatch& /*g*/, Rng& /*rng*/) const {}
+
 GraphSage::GraphSage(nn::ParamStore& store, const std::string& name,
                      int in_dim, int hidden_dim, int layers, int sample_p,
                      Rng& rng)
@@ -148,6 +150,19 @@ bool GraphSage::EncodeInference(const GraphBatch& g, Rng& rng,
   }
   *out = std::move(h);
   return true;
+}
+
+void GraphSage::AdvancePastEncode(const GraphBatch& g, Rng& rng) const {
+  // SampledMeanMatrix, once per layer: sample_p draws for every node with
+  // more than sample_p neighbors, none for the others.
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    for (int i = 0; i < g.num_nodes(); ++i) {
+      const auto deg =
+          static_cast<std::int64_t>(g.adj[static_cast<std::size_t>(i)].size());
+      if (deg <= sample_p_) continue;
+      for (int k = 0; k < sample_p_; ++k) rng.UniformInt(k, deg - 1);
+    }
+  }
 }
 
 Gcn::Gcn(nn::ParamStore& store, const std::string& name, int in_dim,

@@ -39,6 +39,11 @@ class Encoder {
   /// dependent attention) — the caller falls back to Encode().
   virtual bool EncodeInference(const GraphBatch& g, Rng& rng,
                                std::uint64_t param_version, nn::Matrix* out);
+  /// Advance `rng` past exactly the draws Encode(g, rng) makes, without
+  /// encoding, so a caller can hand several later Encode calls their own
+  /// stream positions up front. The default suits encoders that draw
+  /// nothing.
+  virtual void AdvancePastEncode(const GraphBatch& g, Rng& rng) const;
   virtual int out_dim() const = 0;
   virtual std::string name() const = 0;
 };
@@ -53,6 +58,7 @@ class GraphSage : public Encoder {
   nn::Var Encode(const GraphBatch& g, Rng& rng) override;
   bool EncodeInference(const GraphBatch& g, Rng& rng,
                        std::uint64_t param_version, nn::Matrix* out) override;
+  void AdvancePastEncode(const GraphBatch& g, Rng& rng) const override;
   int out_dim() const override { return hidden_; }
   std::string name() const override { return "GraphSAGE"; }
   int sample_p() const { return sample_p_; }

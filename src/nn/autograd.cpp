@@ -262,12 +262,9 @@ Var Exp(const Var& a) {
 }
 
 Var Softmax(const Var& logits, const Matrix* mask) {
-  Matrix mask_copy = mask != nullptr ? *mask : Matrix();
-  const bool has_mask = mask != nullptr;
   Matrix p = SoftmaxProbs(logits->value, mask);
-  return MakeNode(std::move(p), {logits}, [has_mask, mask_copy](Node& n) {
-    (void)has_mask;
-    (void)mask_copy;  // mask entries already have p = 0, grad flows as 0
+  // Masked entries have p = 0, so their gradient is 0 without the mask.
+  return MakeNode(std::move(p), {logits}, [](Node& n) {
     if (!n.parents[0]->requires_grad) return;
     Matrix& ag = n.parents[0]->EnsureGrad();
     for (int r = 0; r < n.grad.rows(); ++r) {

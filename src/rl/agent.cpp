@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -61,37 +63,100 @@ int SampleRow(const Matrix& probs, Rng& rng, bool greedy) {
 
 // ---------------------------------------------------------------- A2C ----
 
-A2cAgent::A2cAgent(const A2cConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
-  encoder_ = gnn::MakeEncoder(cfg.encoder, store_, "enc", cfg.feature_dim,
-                              cfg.embed_dim, rng_);
-  actor_ = nn::Mlp::PaperHead(store_, "actor", cfg.embed_dim, 1, rng_);
-  critic_ = nn::Mlp::PaperHead(store_, "critic", cfg.embed_dim, 1, rng_);
-  opt_ = std::make_unique<nn::Adam>(store_, cfg.adam);
+namespace {
+
+/// Per-node actor logits as a 1×N row.
+Var ActorLogits(const nn::Mlp& actor, const Var& h) {
+  return nn::Transpose(actor.Forward(h));  // N×1 scores → 1×N
+}
+
+/// Adds one rollout step's parameter gradients, computed on a replica's
+/// own tape rooted at `root`, into `dst` with exactly the floating-point
+/// operations one tape over the whole rollout applies to `dst` for that
+/// step, given that the newer steps are already in `dst`. Every
+/// parameter feeds at most one op per step (checked). For all but one kind
+/// of op, that op's backward adds one term per element, so `dst += (0 +
+/// term)` — one Matrix::Add of the replica's gradient — reproduces it bit
+/// for bit (`dst` starts at +0 and a sum is -0 only if both terms are).
+/// The exception is a 1×C bias broadcast over R > 1 rows by nn::Add, which
+/// adds R terms per element; its R row-wise `+=` are replayed from the
+/// consumer's gradient in the order the tape made them.
+void AccumulateStepGrads(const Var& root, const nn::ParamStore& replica,
+                         nn::ParamStore& dst) {
+  const auto& params = replica.params();
+  std::vector<const nn::Node*> consumer(params.size(), nullptr);
+  std::unordered_set<const nn::Node*> seen{root.get()};
+  std::vector<const nn::Node*> stack{root.get()};
+  while (!stack.empty()) {
+    const nn::Node* node = stack.back();
+    stack.pop_back();
+    for (const Var& p : node->parents) {
+      const auto it = std::find(params.begin(), params.end(), p);
+      if (it != params.end()) {
+        const auto k = static_cast<std::size_t>(it - params.begin());
+        TANGO_CHECK(consumer[k] == nullptr,
+                    "parameter %s feeds two ops in one step; the wave "
+                    "reduction would reorder its gradient sum",
+                    replica.names()[k].c_str());
+        consumer[k] = node;
+      } else if (seen.insert(p.get()).second) {
+        stack.push_back(p.get());
+      }
+    }
+  }
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    const nn::Node* use = consumer[k];
+    if (use == nullptr) continue;  // unreachable from the loss: no grad
+    const nn::Node& src = *params[k];
+    nn::Matrix& g = dst.params()[k]->EnsureGrad();
+    // nn::Add(a, bias): the bias is the second parent, the output keeps
+    // the first parent's R×C shape.
+    const bool row_broadcast =
+        src.value.rows() == 1 && use->value.rows() > 1 &&
+        use->parents.size() == 2 && use->parents[1].get() == &src &&
+        use->parents[0]->value.SameShape(use->value);
+    if (row_broadcast) {
+      for (int r = 0; r < use->grad.rows(); ++r) {
+        for (int c = 0; c < use->grad.cols(); ++c) {
+          g.at(0, c) += use->grad.at(r, c);
+        }
+      }
+    } else {
+      g.Add(src.grad);
+    }
+  }
+}
+
+}  // namespace
+
+A2cAgent::Nets A2cAgent::MakeNets(const A2cConfig& cfg, Rng& rng) {
+  Nets nets;
+  nets.encoder = gnn::MakeEncoder(cfg.encoder, nets.store, "enc",
+                                  cfg.feature_dim, cfg.embed_dim, rng);
+  nets.actor = nn::Mlp::PaperHead(nets.store, "actor", cfg.embed_dim, 1, rng);
+  nets.critic =
+      nn::Mlp::PaperHead(nets.store, "critic", cfg.embed_dim, 1, rng);
+  return nets;
+}
+
+A2cAgent::A2cAgent(const A2cConfig& cfg)
+    : cfg_(cfg), rng_(cfg.seed), net_(MakeNets(cfg, rng_)) {
+  opt_ = std::make_unique<nn::Adam>(net_.store, cfg.adam);
 }
 
 std::string A2cAgent::name() const {
   return std::string(gnn::EncoderKindName(cfg_.encoder)) + "-A2C";
 }
 
-Var A2cAgent::PolicyLogits(const GraphState& s, Var* value_out) {
-  const Var h = encoder_->Encode(s.graph, rng_);
-  const Var scores = actor_.Forward(h);            // N×1
-  const Var logits = nn::Transpose(scores);        // 1×N
-  if (value_out != nullptr) {
-    *value_out = critic_.Forward(MeanPool(h));     // 1×1
-  }
-  return logits;
-}
-
 bool A2cAgent::PackedActionProbs(const GraphState& s, const Matrix& mask,
                                  Matrix* probs) {
   const auto version = static_cast<std::uint64_t>(train_steps_);
-  if (!encoder_->EncodeInference(s.graph, rng_, version, &embed_buf_)) {
+  if (!net_.encoder->EncodeInference(s.graph, rng_, version, &embed_buf_)) {
     return false;  // no packed path (GAT): RNG untouched, tape fallback
   }
   if (actor_packed_version_ != version || actor_packed_.empty()) {
     actor_packed_.Clear();
-    for (const auto& l : actor_.layers()) {
+    for (const auto& l : net_.actor.layers()) {
       actor_packed_.AddLayer(l.weight(), l.bias());
     }
     actor_packed_version_ = version;
@@ -116,8 +181,8 @@ int A2cAgent::Act(const GraphState& state, bool greedy) {
     // order, same SoftmaxProbs kernel), zero autograd nodes allocated.
     action = SampleRow(packed_probs, rng_, greedy);
   } else {
-    const Var logits = PolicyLogits(state, nullptr);
-    const Var probs = nn::Softmax(logits, &mask);
+    const Var h = net_.encoder->Encode(state.graph, rng_);
+    const Var probs = nn::Softmax(ActorLogits(net_.actor, h), &mask);
     action = SampleRow(probs->value, rng_, greedy);
   }
   pending_state_ = state;
@@ -136,57 +201,119 @@ void A2cAgent::Observe(float reward, const GraphState& next_state, bool done) {
   }
 }
 
+A2cAgent::StepTape A2cAgent::RunStep(Nets& nets, const Step& step,
+                                     float ret, Rng rng,
+                                     float loss_scale) const {
+  const int n = step.state.graph.num_nodes();
+  const Matrix mask = MaskRow(step.state.valid, n);
+  const Var h = nets.encoder->Encode(step.state.graph, rng);
+  const Var logits = ActorLogits(nets.actor, h);
+  const Var value = nets.critic.Forward(MeanPool(h));  // 1×1
+  const Var logp = nn::LogSoftmax(logits, &mask);
+  const Var logp_a = nn::GatherCols(logp, {step.action});  // 1×1
+  const float advantage = ret - nn::ScalarValue(value);
+  // Policy gradient with the advantage detached (standard A2C).
+  const Var pg = nn::Scale(logp_a, -advantage);
+  // Critic regression toward the return.
+  Matrix target(1, 1);
+  target.at(0, 0) = ret;
+  const Var diff = nn::Sub(value, nn::Constant(std::move(target)));
+  const Var vloss = nn::Scale(nn::Mul(diff, diff), cfg_.value_coef);
+  // Entropy bonus keeps exploration alive.
+  const Var ent = nn::Scale(nn::EntropyOfSoftmax(logits, &mask),
+                            -cfg_.entropy_coef);
+  // Training minimizes the rollout's mean loss: rooting this step's tape at
+  // loss_scale · loss gives the loss node the gradient it has there.
+  StepTape tape;
+  tape.root = nn::Scale(nn::Add(nn::Add(pg, vloss), ent), loss_scale);
+  nn::Backward(tape.root);
+  tape.policy_loss = nn::ScalarValue(pg);
+  tape.value_loss = nn::ScalarValue(vloss);
+  return tape;
+}
+
 void A2cAgent::Train(const GraphState& bootstrap_state, bool done) {
   if (rollout_.empty()) return;
-  // Bootstrap value of the state following the last stored step.
+  const std::size_t n = rollout_.size();
+  // Bootstrap value of the state following the last stored step, from the
+  // encoder and critic alone.
   float boot = 0.0f;
   if (!done && bootstrap_state.graph.num_nodes() > 0) {
-    Var v;
-    PolicyLogits(bootstrap_state, &v);
-    boot = nn::ScalarValue(v);
+    const Var h = net_.encoder->Encode(bootstrap_state.graph, rng_);
+    boot = nn::ScalarValue(net_.critic.Forward(MeanPool(h)));
   }
   // Discounted returns, newest-to-oldest.
-  std::vector<float> returns(rollout_.size());
+  std::vector<float> returns(n);
   float r = boot;
-  for (int i = static_cast<int>(rollout_.size()) - 1; i >= 0; --i) {
-    r = rollout_[static_cast<std::size_t>(i)].reward + cfg_.gamma * r;
-    returns[static_cast<std::size_t>(i)] = r;
+  for (std::size_t i = n; i-- > 0;) {
+    r = rollout_[i].reward + cfg_.gamma * r;
+    returns[i] = r;
+  }
+  // Each step's encoder draws, in rollout order, as one tape over the
+  // rollout would make them.
+  std::vector<Rng> step_rng;
+  step_rng.reserve(n);
+  for (const Step& step : rollout_) {
+    step_rng.push_back(rng_);
+    net_.encoder->AdvancePastEncode(step.state.graph, rng_);
   }
 
-  Var total_loss;
+  if (width_ == 0) {
+    const auto hw = static_cast<int>(std::thread::hardware_concurrency());
+    width_ = std::clamp(hw, 1, std::max(1, cfg_.train_interval));
+    Rng scratch(0);  // replica values are overwritten by CopyParams below
+    for (int j = 1; j < width_; ++j) {
+      replicas_.push_back(MakeNets(cfg_, scratch));
+    }
+    if (width_ > 1) pool_ = std::make_unique<ThreadPool>(width_ - 1);
+  }
+  for (Nets& replica : replicas_) nn::CopyParams(net_.store, replica.store);
+
+  // Waves of width_ steps, newest first. One tape over the whole rollout
+  // would run its backward ops step by step, newest to oldest, so item 0
+  // of a wave is next in that order: it runs on the agent's own nets and
+  // accumulates straight into their gradients. Items j >= 1 run on replica
+  // j - 1 and are reduced in item order after the wave. At most one wave
+  // of tapes is alive.
+  const float loss_scale = 1.0f / static_cast<float>(n);
+  std::vector<float> policy_loss(n);
+  std::vector<float> value_loss(n);
+  std::vector<StepTape> tapes(static_cast<std::size_t>(width_));
+  for (std::size_t first = 0; first < n; first += tapes.size()) {
+    const std::size_t count = std::min(tapes.size(), n - first);
+    const auto run = [&](std::size_t j, int /*worker*/) {
+      const std::size_t i = n - 1 - (first + j);
+      Nets& nets = j == 0 ? net_ : replicas_[j - 1];
+      if (j > 0) nets.store.ZeroGrads();
+      tapes[j] = RunStep(nets, rollout_[i], returns[i], step_rng[i],
+                         loss_scale);
+    };
+    if (count == 1) {
+      run(0, 0);
+    } else {
+      pool_->ParallelFor(count, run);
+    }
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t i = n - 1 - (first + j);
+      if (j > 0) {
+        AccumulateStepGrads(tapes[j].root, replicas_[j - 1].store,
+                            net_.store);
+      }
+      policy_loss[i] = tapes[j].policy_loss;
+      value_loss[i] = tapes[j].value_loss;
+      tapes[j] = StepTape{};
+    }
+  }
   float policy_loss_acc = 0.0f;
   float value_loss_acc = 0.0f;
-  for (std::size_t i = 0; i < rollout_.size(); ++i) {
-    const Step& step = rollout_[i];
-    const int n = step.state.graph.num_nodes();
-    const Matrix mask = MaskRow(step.state.valid, n);
-    Var value;
-    const Var logits = PolicyLogits(step.state, &value);
-    const Var logp = nn::LogSoftmax(logits, &mask);
-    const Var logp_a = nn::GatherCols(logp, {step.action});  // 1×1
-    const float advantage = returns[i] - nn::ScalarValue(value);
-    // Policy gradient with the advantage detached (standard A2C).
-    const Var pg = nn::Scale(logp_a, -advantage);
-    // Critic regression toward the return.
-    Matrix target(1, 1);
-    target.at(0, 0) = returns[i];
-    const Var diff = nn::Sub(value, nn::Constant(std::move(target)));
-    const Var vloss = nn::Scale(nn::Mul(diff, diff), cfg_.value_coef);
-    // Entropy bonus keeps exploration alive.
-    const Var ent = nn::Scale(nn::EntropyOfSoftmax(logits, &mask),
-                              -cfg_.entropy_coef);
-    Var loss = nn::Add(nn::Add(pg, vloss), ent);
-    policy_loss_acc += nn::ScalarValue(pg);
-    value_loss_acc += nn::ScalarValue(vloss);
-    total_loss = total_loss ? nn::Add(total_loss, loss) : loss;
+  for (std::size_t i = 0; i < n; ++i) {
+    policy_loss_acc += policy_loss[i];
+    value_loss_acc += value_loss[i];
   }
-  total_loss = nn::Scale(total_loss,
-                         1.0f / static_cast<float>(rollout_.size()));
-  nn::Backward(total_loss);
   opt_->Step();
   ++train_steps_;
-  last_policy_loss_ = policy_loss_acc / static_cast<float>(rollout_.size());
-  last_value_loss_ = value_loss_acc / static_cast<float>(rollout_.size());
+  last_policy_loss_ = policy_loss_acc / static_cast<float>(n);
+  last_value_loss_ = value_loss_acc / static_cast<float>(n);
 }
 
 // ---------------------------------------------------------------- SAC ----

@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "gnn/encoder.h"
 #include "nn/adam.h"
 #include "nn/packed.h"
@@ -54,7 +55,8 @@ struct A2cConfig {
   /// through pre-packed weights without allocating autograd nodes. Actions
   /// are bit-identical either way (the packed kernels reproduce the taped
   /// arithmetic exactly); false forces the taped forward, used by the
-  /// equivalence tests. Training always uses the tape.
+  /// equivalence tests. Training differentiates through the tape, one tape
+  /// per rollout step (see A2cAgent::Train).
   bool packed_inference = true;
 };
 
@@ -70,7 +72,9 @@ class A2cAgent : public Agent {
   /// Last training losses, for tests/telemetry.
   float last_policy_loss() const { return last_policy_loss_; }
   float last_value_loss() const { return last_value_loss_; }
-  std::size_t param_count() const { return store_.ParamCount(); }
+  std::size_t param_count() const { return net_.store.ParamCount(); }
+  /// Read-only view of every trainable parameter, in optimizer order.
+  const nn::ParamStore& params() const { return net_.store; }
 
  private:
   struct Step {
@@ -79,7 +83,26 @@ class A2cAgent : public Agent {
     float reward;
   };
 
-  nn::Var PolicyLogits(const GraphState& s, nn::Var* value_out);
+  /// Encoder, actor and critic over one ParamStore. The agent's own nets
+  /// and every training replica come from MakeNets, so their parameter
+  /// lists line up index for index.
+  struct Nets {
+    nn::ParamStore store;
+    std::unique_ptr<gnn::Encoder> encoder;
+    nn::Mlp actor;
+    nn::Mlp critic;
+  };
+  /// One rollout step's loss, differentiated on a replica's tape; `root`
+  /// keeps the tape alive until the wave's reduction has read it.
+  struct StepTape {
+    nn::Var root;
+    float policy_loss = 0.0f;
+    float value_loss = 0.0f;
+  };
+
+  static Nets MakeNets(const A2cConfig& cfg, Rng& rng);
+  StepTape RunStep(Nets& nets, const Step& step, float ret, Rng rng,
+                   float loss_scale) const;
   void Train(const GraphState& bootstrap_state, bool done);
   /// Packed Act() forward; returns false (leaving the RNG untouched) when
   /// the encoder has no inference path and the caller must use the tape.
@@ -88,10 +111,13 @@ class A2cAgent : public Agent {
 
   A2cConfig cfg_;
   Rng rng_;
-  nn::ParamStore store_;
-  std::unique_ptr<gnn::Encoder> encoder_;
-  nn::Mlp actor_;
-  nn::Mlp critic_;
+  Nets net_;
+  /// Training wave width, min(hardware threads, train_interval), fixed at
+  /// the first Train (0 before it) together with the width_ - 1 replicas
+  /// and the pool whose width_ - 1 threads plus the caller run a wave.
+  int width_ = 0;
+  std::vector<Nets> replicas_;
+  std::unique_ptr<ThreadPool> pool_;
   /// Packed actor head, lazily re-packed when train_steps_ moves.
   nn::PackedMlp actor_packed_;
   std::uint64_t actor_packed_version_ = ~std::uint64_t{0};

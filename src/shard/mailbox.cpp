@@ -43,6 +43,7 @@ MailboxGrid::MailboxGrid(int num_shards) : num_shards_(num_shards) {
   TANGO_CHECK(num_shards >= 1, "grid needs at least one shard");
   pairs_.resize(static_cast<std::size_t>(num_shards) *
                 static_cast<std::size_t>(num_shards));
+  drained_.assign(static_cast<std::size_t>(num_shards), 0);
 }
 
 void MailboxGrid::Send(int src, int dst, const ShardMessage& msg) {
@@ -74,7 +75,8 @@ void MailboxGrid::Drain(int dst, std::vector<ShardMessage>& sink) {
   for (int src = 0; src < num_shards_; ++src) {
     Pair& p = At(src, dst);
     if (p.in.empty()) continue;
-    drained_ += static_cast<std::int64_t>(p.in.size());
+    drained_[static_cast<std::size_t>(dst)] +=
+        static_cast<std::int64_t>(p.in.size());
     // TANGOVET_ALLOW_NEXT(amortized: pooled capacity)
     sink.insert(sink.end(), p.in.begin(), p.in.end());
     p.in.clear();
@@ -89,6 +91,12 @@ void MailboxGrid::Drain(int dst, std::vector<ShardMessage>& sink) {
               if (a.src != b.src) return a.src < b.src;
               return a.seq < b.seq;
             });
+}
+
+std::int64_t MailboxGrid::drained() const {
+  std::int64_t total = 0;
+  for (const std::int64_t d : drained_) total += d;
+  return total;
 }
 
 bool MailboxGrid::Empty() const {

@@ -75,7 +75,7 @@ class MailboxGrid {
   std::int64_t exchanged() const { return exchanged_; }
   /// Messages handed to shard tasks by Drain so far. At quiescence
   /// exchanged() == drained(); the engine audits the difference.
-  std::int64_t drained() const { return drained_; }
+  std::int64_t drained() const;
 
  private:
   struct Pair {
@@ -96,7 +96,9 @@ class MailboxGrid {
   int num_shards_ = 1;
   SimTime bound_ = 0;
   std::int64_t exchanged_ = 0;
-  std::int64_t drained_ = 0;
+  /// Per destination shard: Drain(dst) runs on dst's task, concurrently
+  /// with the other shards' drains, so each counter has a single writer.
+  std::vector<std::int64_t> drained_;
   std::vector<Pair> pairs_;
 };
 

@@ -232,6 +232,29 @@ TEST_P(EncoderKindTest, PackedInferenceMatchesTapedEncodeExactly) {
   EXPECT_EQ(fwd_taped.NextDouble(), fwd_packed.NextDouble());
 }
 
+TEST_P(EncoderKindTest, AdvancePastEncodeSkipsExactlyTheEncodeDraws) {
+  Rng rng(5);
+  nn::ParamStore store;
+  auto enc = MakeEncoder(GetParam(), store, "e", 4, 8, rng);
+  // TwoTriangles plus a hub of degree 6 > sample_p, so GraphSAGE samples.
+  GraphBatch g = TwoTriangles();
+  g.features = Matrix(7, 4, 0.25f);
+  g.adj.push_back({});
+  for (int i = 0; i < 6; ++i) {
+    g.adj[6].push_back(i);
+    g.adj[static_cast<std::size_t>(i)].push_back(6);
+  }
+  Rng encoded(23);
+  Rng advanced(23);
+  enc->Encode(g, encoded);
+  enc->AdvancePastEncode(g, advanced);
+  const std::uint64_t next = encoded.NextU64();
+  EXPECT_EQ(next, advanced.NextU64());
+  // GraphSAGE draws for the hub; the other encoders draw nothing.
+  EXPECT_EQ(next == Rng(23).NextU64(),
+            GetParam() != EncoderKind::kGraphSage);
+}
+
 TEST(GraphSage, PackedCacheRepacksWhenParamVersionMoves) {
   Rng rng(19);
   nn::ParamStore store;

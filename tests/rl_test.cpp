@@ -2,6 +2,9 @@
 // protocol, and learning on a trivial "good node" bandit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "rl/agent.h"
 
 namespace tango::rl {
@@ -252,6 +255,107 @@ TEST(A2cAgent, GatEncoderFallsBackToTapedActPath) {
     taped_agent.Observe(0.2f, s, false);
   }
 }
+
+/// FNV-1a over the raw bytes of `v`.
+template <class T>
+std::uint64_t Fold(std::uint64_t h, const T& v) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  for (unsigned char b : bytes) h = (h ^ b) * 1099511628211ULL;
+  return h;
+}
+
+/// A graph of `n` nodes (n varies with `t`) whose nodes 0 and 1 are hubs
+/// of degree n - 1 > sample_p, so GraphSAGE sampling draws the RNG, plus
+/// a ring; features and validity derive from `rng`.
+GraphState DriftingState(int t, Rng& rng) {
+  const int n = 5 + (t * 7) % 8;
+  GraphState s;
+  s.graph.features = nn::Matrix(n, 4);
+  for (int i = 0; i < n; ++i) {
+    for (int c = 0; c < 4; ++c) {
+      s.graph.features.at(i, c) = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+  }
+  s.graph.adj.assign(static_cast<std::size_t>(n), {});
+  const auto link = [&s](int a, int b) {
+    auto& la = s.graph.adj[static_cast<std::size_t>(a)];
+    if (a == b || std::find(la.begin(), la.end(), b) != la.end()) return;
+    la.push_back(b);
+    s.graph.adj[static_cast<std::size_t>(b)].push_back(a);
+  };
+  for (int i = 0; i < n; ++i) {
+    link(0, i);
+    link(1, i);
+    link(i, (i + 1) % n);
+  }
+  s.valid.assign(static_cast<std::size_t>(n), true);
+  s.valid[static_cast<std::size_t>(t % n)] = rng.Bernoulli(0.5);
+  return s;
+}
+
+class A2cAgentDigest : public ::testing::TestWithParam<gnn::EncoderKind> {};
+
+TEST_P(A2cAgentDigest, TrainingMatchesPinnedDigest) {
+  // A seeded Act/Observe sequence with drifting graph sizes, two full
+  // rollouts and two `done` flushes of 5 and 3 steps. The digest folds
+  // every action, both losses and every parameter's bits after each
+  // Train; the constants were captured from the single-tape training step,
+  // so any change to RNG consumption, gradient accumulation order or the
+  // optimizer step moves them.
+  A2cConfig cfg;
+  cfg.feature_dim = 4;
+  cfg.embed_dim = 16;
+  cfg.encoder = GetParam();
+  cfg.seed = 41;
+  A2cAgent agent(cfg);
+  Rng env(97);
+  std::uint64_t digest = 14695981039346656037ULL;
+  std::int64_t trained = 0;
+  GraphState s = DriftingState(0, env);
+  for (int t = 0; t < 40; ++t) {
+    const int a = agent.Act(s);
+    digest = Fold(digest, a);
+    const float reward =
+        static_cast<float>((a * 37 + t * 11) % 17) / 17.0f - 0.3f;
+    GraphState next = DriftingState(t + 1, env);
+    agent.Observe(reward, next, /*done=*/t == 20 || t == 39);
+    if (agent.train_steps() != trained) {
+      trained = agent.train_steps();
+      digest = Fold(digest, agent.last_policy_loss());
+      digest = Fold(digest, agent.last_value_loss());
+      for (const auto& p : agent.params().params()) {
+        for (std::size_t i = 0; i < p->value.size(); ++i) {
+          digest = Fold(digest, p->value.data()[i]);
+        }
+      }
+    }
+    s = std::move(next);
+  }
+  EXPECT_EQ(trained, 4);
+  const std::uint64_t pinned = [] {
+    switch (GetParam()) {
+      case gnn::EncoderKind::kGraphSage:
+        return 0x43b45f0105692054ULL;
+      case gnn::EncoderKind::kGcn:
+        return 0xe05636db8a176380ULL;
+      case gnn::EncoderKind::kGat:
+        return 0x847015c9bbc7f0dcULL;
+      case gnn::EncoderKind::kNative:
+        return 0xe0acff9d4046a74eULL;
+    }
+    return 0x0ULL;
+  }();
+  EXPECT_EQ(digest, pinned) << std::hex << "digest 0x" << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Encoders, A2cAgentDigest,
+    ::testing::Values(gnn::EncoderKind::kGraphSage, gnn::EncoderKind::kGcn,
+                      gnn::EncoderKind::kGat, gnn::EncoderKind::kNative),
+    [](const auto& param_info) {
+      return std::string(gnn::EncoderKindName(param_info.param));
+    });
 
 }  // namespace
 }  // namespace tango::rl

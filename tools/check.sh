@@ -3,7 +3,7 @@
 # configure, an ASan+UBSan configure (-DTANGO_SANITIZE=ON), a TSan
 # configure (-DTANGO_TSAN=ON) that runs only the concurrency-touching tests
 # (thread pool, parallel DSS-LC, MCMF reuse, harness fan-out, TangoScope
-# emission), a TangoAudit configure (-DTANGO_AUDIT=ON) that runs the full
+# emission, A2C's parallel training step), a TangoAudit configure (-DTANGO_AUDIT=ON) that runs the full
 # suite with every runtime invariant checker live, and a TangoScope
 # configure (-DTANGO_SCOPE=ON) that runs the full suite plus a traced
 # chaos_demo whose exported Chrome trace must parse as JSON, and a
@@ -88,7 +88,7 @@ if [[ "$what" == "all" || "$what" == "tsan" ]]; then
   # threaded paths; the plain/sanitize configs already cover the rest.
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   run_config tsan "$repo_root/build-tsan" \
-    -R 'ThreadPool|ParallelDss|DssLc|McmfReuse|Harness|Experiment|Scope|Shard|Mailbox' \
+    -R 'ThreadPool|ParallelDss|DssLc|McmfReuse|Harness|Experiment|Scope|Shard|Mailbox|A2cAgent|Agents' \
     -DTANGO_TSAN=ON -DTANGO_SCOPE=ON
   # The sharded engine's epoch fan-out under TSan: the mailbox exchange and
   # the per-shard slabs are the only cross-thread surfaces, and the smoke
