@@ -182,8 +182,9 @@ SchedComparison CompareSched(const char* label, int clusters, int workers,
   return cmp;
 }
 
-/// Per-phase wall-clock profile of the DSS-LC round (snapshot filter,
-/// chain build, star solve, merge, commit) from a profile_phases run.
+/// Per-phase wall-clock profile of the DSS-LC round (snapshot filter and
+/// round view, per-type worker view and chain build, star solve, merge,
+/// commit) from a profile_phases run.
 /// Serial mode so phase timings are not interleaved across pool threads.
 std::vector<scope::MetricRow> ProfilePhases(const StateStorage& st,
                                             int queue_len, int rounds) {
@@ -203,6 +204,36 @@ std::vector<scope::MetricRow> ProfilePhases(const StateStorage& st,
     }
   }
   return rows;
+}
+
+/// Where a profiled round's time went: each row's mean µs per round (its
+/// sample sum over the round count — solve and build sample once per type
+/// or kernel call, so several times a round) and the unattributed rest,
+/// mean round_us minus the phases' per-round sums.
+struct PhaseAttribution {
+  std::vector<double> per_round;  // aligned with the profile rows
+  double other_us = 0.0;
+};
+
+PhaseAttribution Attribute(const std::vector<scope::MetricRow>& rows) {
+  PhaseAttribution a;
+  double rounds = 0.0;
+  double round_mean = 0.0;
+  for (const auto& row : rows) {
+    if (row.name == "sched.round_us") {
+      rounds = static_cast<double>(row.count);
+      round_mean = row.value;
+    }
+  }
+  a.other_us = round_mean;
+  for (const auto& row : rows) {
+    const double per_round =
+        rounds > 0.0 ? row.value * static_cast<double>(row.count) / rounds
+                     : 0.0;
+    a.per_round.push_back(per_round);
+    if (row.name != "sched.round_us") a.other_us -= per_round;
+  }
+  return a;
 }
 
 struct E2eComparison {
@@ -309,14 +340,16 @@ void WriteJson(const char* path, int cores,
       << "    \"parallel_wall_s\": " << reps.parallel_s << ",\n"
       << "    \"speedup\": " << reps.speedup << "\n  },\n"
       << "  \"phase_profile_us\": {\n";
+  const PhaseAttribution attribution = Attribute(phases);
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const auto& p = phases[i];
     out << "    \"" << p.name << "\": {\"count\": " << p.count
         << ", \"mean\": " << p.value << ", \"p50\": " << p.p50
-        << ", \"p95\": " << p.p95 << ", \"p99\": " << p.p99 << "}"
-        << (i + 1 < phases.size() ? "," : "") << "\n";
+        << ", \"p95\": " << p.p95 << ", \"p99\": " << p.p99
+        << ", \"per_round\": " << attribution.per_round[i] << "},\n";
   }
-  out << "  }\n}\n";
+  out << "    \"other\": {\"per_round\": " << attribution.other_us
+      << "}\n  }\n}\n";
 }
 
 }  // namespace
@@ -400,14 +433,20 @@ int main(int argc, char** argv) {
   if (!smoke) {
     phases = ProfilePhases(MakeStorage(16, 16, 77), /*queue_len=*/4096,
                            /*rounds=*/20);
+    const PhaseAttribution attribution = Attribute(phases);
     std::vector<std::vector<std::string>> phase_rows;
-    for (const auto& p : phases) {
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+      const auto& p = phases[i];
       phase_rows.push_back({p.name, std::to_string(p.count),
                             eval::Fmt(p.value, 1), eval::Fmt(p.p50, 1),
-                            eval::Fmt(p.p95, 1), eval::Fmt(p.p99, 1)});
+                            eval::Fmt(p.p95, 1), eval::Fmt(p.p99, 1),
+                            eval::Fmt(attribution.per_round[i], 1)});
     }
+    phase_rows.push_back({"other (round - phases)", "-", "-", "-", "-", "-",
+                          eval::Fmt(attribution.other_us, 1)});
     eval::PrintTable("DSS-LC round phase profile (µs, large cluster)",
-                     {"phase", "samples", "mean", "p50", "p95", "p99"},
+                     {"phase", "samples", "mean", "p50", "p95", "p99",
+                      "per round"},
                      phase_rows);
   }
 

@@ -27,16 +27,16 @@ class PowerOfTwoLcScheduler : public k8s::LcScheduler {
   std::vector<k8s::Assignment> Schedule(
       ClusterId /*cluster*/, const std::vector<k8s::PendingRequest>& queue,
       const metrics::StateStorage& storage, SimTime /*now*/) override {
-    std::vector<metrics::NodeSnapshot> workers;
-    for (const auto& s : storage.All()) {
-      if (!s.is_master) workers.push_back(s);
-    }
+    std::vector<const metrics::NodeSnapshot*> workers;
+    storage.ForEach([&workers](const metrics::NodeSnapshot& s) {
+      if (!s.is_master) workers.push_back(&s);
+    });
     std::vector<k8s::Assignment> out;
     if (workers.empty()) return out;
     for (const auto& p : queue) {
-      const auto& a = workers[static_cast<std::size_t>(
+      const auto& a = *workers[static_cast<std::size_t>(
           rng_.UniformInt(0, static_cast<std::int64_t>(workers.size()) - 1))];
-      const auto& b = workers[static_cast<std::size_t>(
+      const auto& b = *workers[static_cast<std::size_t>(
           rng_.UniformInt(0, static_cast<std::int64_t>(workers.size()) - 1))];
       // LC view per the §4.1 regulations: idle + BE-preemptible.
       const auto& pick = a.CpuForLc() >= b.CpuForLc() ? a : b;

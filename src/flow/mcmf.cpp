@@ -62,20 +62,29 @@ TANGO_HOT std::span<const FlowUnit> SolveDispatchStar(
   scratch.order.resize(n);
   // TANGOVET_ALLOW_NEXT(amortized: pooled capacity, callers pre-grow it)
   scratch.flow.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.order[i] = {chains[i].cost, static_cast<int>(i)};
-  }
   // Ascending (cost, chain index) is the order SSP augments a star in: each
   // Dijkstra pass finds the cheapest unsaturated chain, breaking equal-cost
   // ties toward the smallest worker node id, and saturates it (or exhausts
-  // the amount) in one push.
-  std::sort(scratch.order.begin(), scratch.order.end());
+  // the amount) in one push. (cost, index) is a total order, so popping a
+  // min-heap of the chains that can carry flow visits them in exactly that
+  // order while touching only the chains the amount reaches; chains with
+  // capacity <= 0 would take nothing and are never queued.
+  const auto first = scratch.order.begin();
+  auto last = first;
+  if (amount > 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (chains[i].capacity > 0) {
+        *last++ = {chains[i].cost, static_cast<int>(i)};
+      }
+    }
+    std::make_heap(first, last, std::greater<>{});
+  }
   FlowUnit remaining = amount;
-  for (const auto& entry : scratch.order) {
-    if (remaining <= 0) break;
-    const auto i = Z(entry.second);
+  while (remaining > 0 && last != first) {
+    std::pop_heap(first, last, std::greater<>{});
+    --last;
+    const auto i = Z(last->second);
     const FlowUnit take = std::min(remaining, chains[i].capacity);
-    if (take <= 0) continue;
     scratch.flow[i] = take;
     remaining -= take;
   }

@@ -47,8 +47,9 @@ struct StarChain {
 /// Caller-owned buffers SolveDispatchStar fills; reusing one across calls
 /// keeps steady-state solves allocation-free.
 struct StarScratch {
-  std::vector<std::pair<CostUnit, int>> order;  // (path cost, chain index)
-  std::vector<FlowUnit> flow;                   // per-chain result
+  // (path cost, chain index) min-heap of the chains with capacity > 0
+  std::vector<std::pair<CostUnit, int>> order;
+  std::vector<FlowUnit> flow;  // per-chain result
 
   /// Grow both buffers to hold `chains` chains. Returns true iff either
   /// had to allocate.
@@ -57,7 +58,9 @@ struct StarScratch {
 
 /// Route up to `amount` units over the chains of a dispatch star at minimum
 /// total cost: fill chains in ascending (cost, chain index) order, the order
-/// successive shortest paths augments such a graph in. Returns the flow per
+/// successive shortest paths augments such a graph in, popping them off a
+/// min-heap so a small amount costs O(chains + k log chains) for the k
+/// chains it reaches rather than a full sort. Returns the flow per
 /// chain (aligned with `chains`, valid until the scratch is reused). In
 /// TANGO_AUDIT builds every call is re-solved by MinCostMaxFlow and must
 /// match it exactly (`flow.star_matches_ssp`).

@@ -71,6 +71,14 @@ class StateStorage {
   /// All snapshots, in NodeId order (deterministic iteration for solvers).
   std::vector<NodeSnapshot> All() const;
 
+  /// Call `visit(const NodeSnapshot&)` on every snapshot in NodeId order —
+  /// All()'s order without copying the snapshots out. The references are
+  /// valid until the storage is next modified.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const {
+    for (const auto& [id, snap] : nodes_) visit(snap);
+  }
+
   /// Snapshots restricted to one cluster.
   std::vector<NodeSnapshot> ForCluster(ClusterId cluster) const;
 

@@ -8,27 +8,26 @@ std::optional<NodeId> KubeNativeBeScheduler::ScheduleOne(
     const k8s::PendingRequest& pending, const metrics::StateStorage& storage,
     SimTime /*now*/) {
   (void)pending;
-  std::vector<metrics::NodeSnapshot> workers;
-  for (const auto& s : storage.All()) {
-    if (!s.is_master) workers.push_back(s);
-  }
+  std::vector<NodeId> workers;
+  storage.ForEach([&workers](const metrics::NodeSnapshot& s) {
+    if (!s.is_master) workers.push_back(s.node);
+  });
   if (workers.empty()) return std::nullopt;
-  const auto& pick = workers[cursor_ % workers.size()];
+  const NodeId pick = workers[cursor_ % workers.size()];
   ++cursor_;
-  return pick.node;
+  return pick;
 }
 
 std::optional<NodeId> LoadGreedyBeScheduler::ScheduleOne(
     const k8s::PendingRequest& pending, const metrics::StateStorage& storage,
     SimTime /*now*/) {
   const auto& svc = catalog_->Get(pending.request.service);
-  const std::vector<metrics::NodeSnapshot> snapshots = storage.All();
   const metrics::NodeSnapshot* best = nullptr;
   double best_frac = -1.0;
-  for (const auto& s : snapshots) {
-    if (s.is_master) continue;
+  storage.ForEach([&](const metrics::NodeSnapshot& s) {
+    if (s.is_master) return;
     if (s.cpu_available < svc.cpu_demand || s.mem_available < svc.mem_demand) {
-      continue;
+      return;
     }
     const double frac =
         static_cast<double>(s.cpu_available) /
@@ -37,18 +36,18 @@ std::optional<NodeId> LoadGreedyBeScheduler::ScheduleOne(
       best_frac = frac;
       best = &s;
     }
-  }
+  });
   // Fall back to the emptiest queue when nothing strictly fits — a BE
   // request can always wait at a node.
   if (best == nullptr) {
     int best_queue = std::numeric_limits<int>::max();
-    for (const auto& s : snapshots) {
-      if (s.is_master) continue;
+    storage.ForEach([&](const metrics::NodeSnapshot& s) {
+      if (s.is_master) return;
       if (s.queued < best_queue) {
         best_queue = s.queued;
         best = &s;
       }
-    }
+    });
   }
   if (best == nullptr) return std::nullopt;
   return best->node;

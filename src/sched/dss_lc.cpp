@@ -68,9 +68,40 @@ DssLcScheduler::DssLcScheduler(const workload::ServiceCatalog* catalog,
   h_commit_ = &metrics_.GetHistogram("sched.phase.commit_us");
 }
 
+TANGO_HOT std::int64_t DssLcScheduler::BuildWorkerView(
+    const workload::ServiceSpec& svc, RouteScratch& scratch) const {
+  const Millicores cpu_demand = std::max<Millicores>(1, svc.cpu_demand);
+  const MiB mem_demand = std::max<MiB>(1, svc.mem_demand);
+  const auto commit_per_request = static_cast<double>(svc.cpu_demand);
+  const auto proc = static_cast<double>(svc.base_proc);
+  std::int64_t total_capacity = 0;
+  for (std::size_t i = 0; i < round_view_.size(); ++i) {
+    const RoundNode& v = round_view_[i];
+    // Eq. 2 over the §4.1-regulated LC view (idle + BE-preemptible),
+    // minus what this dispatcher already committed since the last sync.
+    const std::int64_t cap = std::min(v.cpu_for_lc / cpu_demand,
+                                      v.mem_for_lc / mem_demand);
+    // Edge cost = transmission delay + estimated queueing delay (queued
+    // work observed at the node, plus our own not-yet-visible
+    // commitments) — the "routing and queuing delays" the paper's
+    // objective integrates. Without the queue term the overflow graph
+    // keeps feeding saturated nodes proportional to their total size.
+    const double queued_estimate =
+        static_cast<double>(v.queued) +
+        (v.has_committed_cpu ? v.committed_cpu / commit_per_request : 0.0);
+    const auto queue_cost =
+        static_cast<std::int64_t>(queued_estimate * proc);
+    // total_capacity is only read by the overflow graph; ScheduleType
+    // fills it when a type overloads.
+    scratch.workers[i] = {v.node, cap, 0, v.half_rtt + queue_cost};
+    total_capacity += cap;
+  }
+  return total_capacity;
+}
+
 TANGO_HOT std::span<const std::int64_t> DssLcScheduler::Route(
-    RouteScratch& scratch, const std::vector<WorkerCap>& workers,
-    std::int64_t amount, bool use_total, double lambda) {
+    RouteScratch& scratch, std::int64_t amount, bool use_total,
+    double lambda, double& build_us) {
   std::chrono::steady_clock::time_point t_build;
   // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing state)
   if (cfg_.profile_phases) t_build = std::chrono::steady_clock::now();
@@ -78,7 +109,7 @@ TANGO_HOT std::span<const std::int64_t> DssLcScheduler::Route(
   // cap = c_ij) then worker → sink processing capacity (Eq. 5), so the
   // chain carries at most min(c_ij, t_i^k).
   scratch.chains.clear();
-  for (const WorkerCap& w : workers) {
+  for (const WorkerCap& w : scratch.workers) {
     std::int64_t cap = w.capacity;
     if (use_total) {
       cap = static_cast<std::int64_t>(
@@ -92,8 +123,7 @@ TANGO_HOT std::span<const std::int64_t> DssLcScheduler::Route(
   if (cfg_.profile_phases) {
     // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing)
     t_solve = std::chrono::steady_clock::now();
-    h_graph_build_->Observe(
-        static_cast<std::int64_t>(ElapsedUs(t_build, t_solve)));
+    build_us += ElapsedUs(t_build, t_solve);
   }
   const auto counts =
       flow::SolveDispatchStar(scratch.chains, amount, scratch.star);
@@ -108,59 +138,24 @@ TANGO_HOT std::span<const std::int64_t> DssLcScheduler::Route(
 
 DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
     ServiceId svc_id, const std::vector<const PendingRequest*>& requests,
-    const std::vector<metrics::NodeSnapshot>& snapshots,
-    const metrics::StateStorage& storage, SimTime now, std::uint64_t round,
-    RouteScratch& scratch) {
-  (void)now;
+    std::uint64_t round, RouteScratch& scratch) {
   TypeOutcome outcome;
+  if (round_view_.empty()) return outcome;
   const auto& svc = catalog_->Get(svc_id);
 
-  // Build the worker capacity view (Eq. 2 / Eq. 7) against the round-start
+  // The worker capacity view (Eq. 2 / Eq. 7) against the round-start
   // state: commitments made by sibling types this round are intentionally
   // invisible (the determinism contract — see the header).
-  std::vector<WorkerCap> workers;
-  workers.reserve(snapshots.size());
-  std::int64_t total_capacity = 0;
-  for (const auto& s : snapshots) {
-    // Eq. 2 over the §4.1-regulated LC view (idle + BE-preemptible),
-    // minus what this dispatcher already committed since the last sync.
-    Millicores cpu_for_lc = s.CpuForLc();
-    auto committed = committed_cpu_.find(s.node);
-    if (committed != committed_cpu_.end()) {
-      cpu_for_lc -= static_cast<Millicores>(committed->second);
-    }
-    MiB mem_for_lc = s.MemForLc();
-    auto committed_mem = committed_mem_.find(s.node);
-    if (committed_mem != committed_mem_.end()) {
-      mem_for_lc -= static_cast<MiB>(committed_mem->second);
-    }
-    const std::int64_t cap = std::min(
-        std::max<Millicores>(0, cpu_for_lc) /
-            std::max<Millicores>(1, svc.cpu_demand),
-        std::max<MiB>(0, mem_for_lc) / std::max<MiB>(1, svc.mem_demand));
-    const std::int64_t total_cap = std::min(
-        s.cpu_total / std::max<Millicores>(1, svc.cpu_demand),
-        s.mem_total / std::max<MiB>(1, svc.mem_demand));
-    const SimDuration rtt = storage.Rtt(s.cluster).value_or(kMillisecond);
-    // Edge cost = transmission delay + estimated queueing delay (queued
-    // work observed at the node, plus our own not-yet-visible
-    // commitments) — the "routing and queuing delays" the paper's
-    // objective integrates. Without the queue term the overflow graph
-    // keeps feeding saturated nodes proportional to their total size.
-    const double queued_estimate =
-        static_cast<double>(s.queued) +
-        (committed != committed_cpu_.end()
-             ? committed->second / static_cast<double>(svc.cpu_demand)
-             : 0.0);
-    const auto queue_cost =
-        static_cast<std::int64_t>(queued_estimate *
-                                  static_cast<double>(svc.base_proc));
-    workers.push_back({s.node, std::max<std::int64_t>(0, cap),
-                       std::max<std::int64_t>(0, total_cap),
-                       rtt / 2 + queue_cost});
-    total_capacity += std::max<std::int64_t>(0, cap);
+  std::chrono::steady_clock::time_point t_build;
+  // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing state)
+  if (cfg_.profile_phases) t_build = std::chrono::steady_clock::now();
+  const std::int64_t total_capacity = BuildWorkerView(svc, scratch);
+  double build_us = 0.0;
+  if (cfg_.profile_phases) {
+    // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing)
+    build_us = ElapsedUs(t_build, std::chrono::steady_clock::now());
   }
-  if (workers.empty()) return outcome;
+  const std::vector<WorkerCap>& workers = scratch.workers;
 
   const auto pending = static_cast<std::int64_t>(requests.size());
 
@@ -185,7 +180,8 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
   }
 
   // Per-worker commitment totals, turned into NodeCommits after assigning.
-  std::vector<std::int64_t> assigned_per_worker(workers.size(), 0);
+  std::vector<std::int64_t>& assigned_per_worker = scratch.assigned;
+  std::fill(assigned_per_worker.begin(), assigned_per_worker.end(), 0);
   auto assign_counts = [&](std::span<const std::int64_t> counts,
                            std::size_t first_request,
                            std::size_t n_requests) {
@@ -204,7 +200,7 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
   if (pending <= total_capacity) {
     // Case 1: capacity suffices — one graph G_k.
     const auto counts =
-        Route(scratch, workers, pending, /*use_total=*/false, 0.0);
+        Route(scratch, pending, /*use_total=*/false, 0.0, build_us);
     assign_counts(counts, 0, static_cast<std::size_t>(pending));
   } else {
     // Case 2: overload — split into R_k (immediate) and R'_k (queued).
@@ -212,18 +208,31 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
     const std::int64_t overflow = pending - immediate;
     if (immediate > 0) {
       const auto counts =
-          Route(scratch, workers, immediate, /*use_total=*/false, 0.0);
+          Route(scratch, immediate, /*use_total=*/false, 0.0, build_us);
       assign_counts(counts, 0, static_cast<std::size_t>(immediate));
     }
     // λ scales total-resource capacities so Ĝ'_k fits exactly R'_k (Eq. 8).
+    // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing state)
+    if (cfg_.profile_phases) t_build = std::chrono::steady_clock::now();
+    const Millicores cpu_demand = std::max<Millicores>(1, svc.cpu_demand);
+    const MiB mem_demand = std::max<MiB>(1, svc.mem_demand);
     std::int64_t total_res_capacity = 0;
-    for (const auto& w : workers) total_res_capacity += w.total_capacity;
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      const RoundNode& v = round_view_[i];
+      scratch.workers[i].total_capacity = std::max<std::int64_t>(
+          0, std::min(v.cpu_total / cpu_demand, v.mem_total / mem_demand));
+      total_res_capacity += scratch.workers[i].total_capacity;
+    }
+    if (cfg_.profile_phases) {
+      // TANGOVET_ALLOW_NEXT(profiling: phase timing never feeds routing)
+      build_us += ElapsedUs(t_build, std::chrono::steady_clock::now());
+    }
     if (total_res_capacity > 0 && overflow > 0) {
       outcome.lambda = static_cast<double>(overflow) /
                        static_cast<double>(total_res_capacity);
       outcome.overloaded = true;
-      const auto counts = Route(scratch, workers, overflow,
-                                /*use_total=*/true, outcome.lambda);
+      const auto counts = Route(scratch, overflow, /*use_total=*/true,
+                                outcome.lambda, build_us);
       assign_counts(counts, static_cast<std::size_t>(immediate),
                     static_cast<std::size_t>(overflow));
       for (const auto c : counts) outcome.overflow += c;
@@ -236,6 +245,9 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
     outcome.commits.push_back(
         {workers[i].node, n * static_cast<double>(svc.cpu_demand),
          n * static_cast<double>(svc.mem_demand)});
+  }
+  if (cfg_.profile_phases) {
+    h_graph_build_->Observe(static_cast<std::int64_t>(build_us));
   }
   return outcome;
 }
@@ -257,12 +269,22 @@ std::vector<Assignment> DssLcScheduler::Schedule(
     const double factor =
         std::pow(0.5, static_cast<double>(now - last_decay_) /
                           static_cast<double>(125 * kMillisecond));
-    for (auto* m : {&committed_cpu_, &committed_mem_}) {
-      for (auto it = m->begin(); it != m->end();) {
-        it->second *= factor;
-        it = it->second < kCommitEpsilon ? m->erase(it) : std::next(it);
+    const auto decay = [factor](double& value, bool& live) {
+      if (!live) return;
+      value *= factor;
+      if (value < kCommitEpsilon) {
+        value = 0.0;
+        live = false;
       }
+    };
+    std::size_t kept = 0;
+    for (const std::int32_t slot : committed_live_) {
+      Commitment& c = committed_[static_cast<std::size_t>(slot)];
+      decay(c.cpu, c.has_cpu);
+      decay(c.mem, c.has_mem);
+      if (c.has_cpu || c.has_mem) committed_live_[kept++] = slot;
     }
+    committed_live_.resize(kept);
     last_decay_ = now;
   }
 
@@ -274,22 +296,58 @@ std::vector<Assignment> DssLcScheduler::Schedule(
 
   // Workers the fault plane took out (crashed, draining, or behind a cut
   // link) are excluded up front — dispatching to them would strand the
-  // request until the failure detector re-queues it.
+  // request until the failure detector re-queues it. The survivors form
+  // the round view every type reads: snapshots arrive in NodeId order, so
+  // a cluster's RTT is looked up once per run of its nodes.
   k8s::LcRoundStats round;
   round.at = now;
-  std::vector<metrics::NodeSnapshot> snapshots;
-  for (const auto& s : storage.All()) {
-    if (s.is_master) continue;
+  const std::size_t view_capacity = round_view_.capacity();
+  round_view_.clear();
+  ClusterId rtt_cluster;
+  SimDuration half_rtt = 0;
+  std::int32_t max_node = -1;
+  storage.ForEach([&](const metrics::NodeSnapshot& s) {
+    if (s.is_master) return;
     round.considered += 1;
     if (!s.alive || s.draining) {
       round.excluded_dead += 1;
-      continue;
+      return;
     }
     if (!s.reachable) {
       round.excluded_unreachable += 1;
-      continue;
+      return;
     }
-    snapshots.push_back(s);
+    if (round_view_.empty() || s.cluster != rtt_cluster) {
+      rtt_cluster = s.cluster;
+      half_rtt = storage.Rtt(s.cluster).value_or(kMillisecond) / 2;
+    }
+    TANGO_CHECK(s.node.value >= 0, "worker snapshot without a NodeId");
+    RoundNode v;
+    v.node = s.node;
+    Millicores cpu_for_lc = s.CpuForLc();
+    MiB mem_for_lc = s.MemForLc();
+    const auto slot = static_cast<std::size_t>(s.node.value);
+    if (slot < committed_.size()) {
+      const Commitment& c = committed_[slot];
+      if (c.has_cpu) cpu_for_lc -= static_cast<Millicores>(c.cpu);
+      if (c.has_mem) mem_for_lc -= static_cast<MiB>(c.mem);
+      v.has_committed_cpu = c.has_cpu;
+      v.committed_cpu = c.cpu;
+    }
+    v.cpu_for_lc = std::max<Millicores>(0, cpu_for_lc);
+    v.mem_for_lc = std::max<MiB>(0, mem_for_lc);
+    v.cpu_total = s.cpu_total;
+    v.mem_total = s.mem_total;
+    v.half_rtt = half_rtt;
+    v.queued = s.queued;
+    round_view_.push_back(v);
+    max_node = std::max(max_node, s.node.value);
+  });
+  if (round_view_.capacity() != view_capacity) ++scratch_alloc_events_;
+  // Every node a type can commit to is in the view, so growing the
+  // commitment array here keeps the merge below free of bounds checks.
+  if (static_cast<std::size_t>(max_node + 1) > committed_.size()) {
+    committed_.resize(static_cast<std::size_t>(max_node + 1));
   }
   if (cfg_.profile_phases) {
     h_snapshot_->Observe(static_cast<std::int64_t>(
@@ -298,10 +356,10 @@ std::vector<Assignment> DssLcScheduler::Schedule(
   }
 
   // Fan the independent per-type graphs G_k out over the pool. A type is
-  // solved in whichever slot claims it, against that slot's scratch; the
-  // kernel overwrites the scratch on every call, so serial and parallel
-  // runs stay identical. Each slot is pre-grown here to this round's
-  // worst case (one chain per usable worker) so no solve allocates.
+  // solved in whichever slot claims it, against that slot's scratch; every
+  // call overwrites the scratch, so serial and parallel runs stay
+  // identical. Each slot is sized here to this round's view (one worker
+  // and one chain per usable worker) so no type allocates solver storage.
   const auto round_index = static_cast<std::uint64_t>(decisions_);
   std::vector<ServiceId> svc_order;
   std::vector<const std::vector<const PendingRequest*>*> svc_requests;
@@ -311,17 +369,20 @@ std::vector<Assignment> DssLcScheduler::Schedule(
     svc_order.push_back(svc_id);
     svc_requests.push_back(&requests);
   }
+  const std::size_t n_view = round_view_.size();
   for (auto& slot : slot_scratch_) {
-    const bool chains_grow = snapshots.size() > slot.chains.capacity();
-    slot.chains.reserve(snapshots.size());
-    if (slot.star.Reserve(snapshots.size()) || chains_grow) {
-      ++scratch_alloc_events_;
-    }
+    const bool grows = n_view > slot.chains.capacity() ||
+                       n_view > slot.workers.capacity() ||
+                       n_view > slot.assigned.capacity();
+    slot.chains.reserve(n_view);
+    slot.workers.resize(n_view);
+    slot.assigned.resize(n_view);
+    if (slot.star.Reserve(n_view) || grows) ++scratch_alloc_events_;
   }
   std::vector<TypeOutcome> outcomes(svc_order.size());
   const auto run_type = [&](std::size_t i, int worker_slot) {
     outcomes[i] = ScheduleType(
-        svc_order[i], *svc_requests[i], snapshots, storage, now, round_index,
+        svc_order[i], *svc_requests[i], round_index,
         slot_scratch_[static_cast<std::size_t>(worker_slot)]);
   };
   if (pool_ != nullptr) {
@@ -349,8 +410,14 @@ std::vector<Assignment> DssLcScheduler::Schedule(
   const auto t_commit = std::chrono::steady_clock::now();
   for (const auto& outcome : outcomes) {
     for (const auto& c : outcome.commits) {
-      committed_cpu_[c.node] += c.cpu;
-      committed_mem_[c.node] += c.mem;
+      Commitment& entry = committed_[static_cast<std::size_t>(c.node.value)];
+      if (!entry.has_cpu && !entry.has_mem) {
+        committed_live_.push_back(c.node.value);
+      }
+      entry.cpu += c.cpu;
+      entry.mem += c.mem;
+      entry.has_cpu = true;
+      entry.has_mem = true;
     }
   }
   if (cfg_.profile_phases) {
@@ -369,8 +436,8 @@ std::vector<Assignment> DssLcScheduler::Schedule(
     // Post-merge sweep (§5.2 / §4.1): every assignment lands on a node that
     // survived the liveness filter, and no request is dispatched twice.
     std::unordered_set<std::int32_t> usable;
-    usable.reserve(snapshots.size());
-    for (const auto& s : snapshots) usable.insert(s.node.value);
+    usable.reserve(round_view_.size());
+    for (const auto& v : round_view_) usable.insert(v.node.value);
     std::unordered_set<std::int32_t> assigned;
     assigned.reserve(out.size());
     for (const auto& a : out) {
@@ -406,6 +473,16 @@ std::vector<Assignment> DssLcScheduler::Schedule(
   h_round_->Observe(static_cast<std::int64_t>(ElapsedUs(t0, t1)));
   scope::EndSpan(round_span, now);
   return out;
+}
+
+std::size_t DssLcScheduler::committed_entries() const {
+  std::size_t live = 0;
+  for (const std::int32_t slot : committed_live_) {
+    const Commitment& c = committed_[static_cast<std::size_t>(slot)];
+    live += static_cast<std::size_t>(c.has_cpu) +
+            static_cast<std::size_t>(c.has_mem);
+  }
+  return live;
 }
 
 DssLcScheduler::SolverPoolStats DssLcScheduler::solver_pool_stats() const {

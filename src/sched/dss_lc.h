@@ -25,14 +25,18 @@
 // Every G_k / Ĝ'_k is a dispatch star (source → master → workers → sink), so
 // Route hands the per-worker chains (delay cost, capacity min(c_ij, t_i^k))
 // straight to flow::SolveDispatchStar — no arc graph is built. Each
-// thread-pool slot owns one reusable chain array and kernel scratch,
-// pre-grown at round start, so steady-state rounds allocate no solver
-// storage (see solver_pool_stats()). The kernel fully overwrites its
+// thread-pool slot owns one reusable worker view, chain array and kernel
+// scratch, pre-grown at round start, so steady-state rounds allocate no
+// solver storage (see solver_pool_stats()). The kernel fully overwrites its
 // scratch, so which slot solves a type never affects the result.
+//
+// Round cost: the liveness filter builds one flat node view per round
+// (capacities net of commitments, totals, rtt/2, queue length), looking up
+// each cluster's RTT once and each node's commitment by array index; every
+// type then derives its worker view from that array with plain arithmetic.
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -60,10 +64,12 @@ struct DssLcConfig {
   /// 0 = one slot per hardware thread, N > 1 = N slots (N-1 pool threads
   /// plus the scheduling thread). Assignments are identical for any value.
   int num_threads = 1;
-  /// Record a wall-clock profile of each round's phases (snapshot filter,
-  /// chain build, star solve, merge, commit) into the scheduler's metric
-  /// registry. Off by default: the extra steady_clock reads sit on the
-  /// per-type hot path.
+  /// Record a wall-clock profile of each round's phases into the
+  /// scheduler's metric registry: snapshot (liveness filter and round
+  /// view), graph_build (one sample per type: its worker view plus every
+  /// chain fill), mcmf_solve (one sample per kernel call), merge, commit.
+  /// Off by default: the extra steady_clock reads sit on the per-type hot
+  /// path.
   bool profile_phases = false;
 };
 
@@ -112,11 +118,9 @@ class DssLcScheduler : public k8s::LcScheduler {
   };
   SolverPoolStats solver_pool_stats() const;
 
-  /// Entries currently held in the per-node commitment maps (bounded by
-  /// the epsilon decay eviction; exposed for tests).
-  std::size_t committed_entries() const {
-    return committed_cpu_.size() + committed_mem_.size();
-  }
+  /// Live per-node commitment entries, CPU and memory counted separately
+  /// (bounded by the epsilon decay eviction; exposed for tests).
+  std::size_t committed_entries() const;
 
   /// Per-scheduler metric registry: "sched.rounds"/"sched.assigned"/
   /// "sched.overflow" counters plus, when DssLcConfig::profile_phases is
@@ -128,12 +132,36 @@ class DssLcScheduler : public k8s::LcScheduler {
   struct WorkerCap {
     NodeId node;
     std::int64_t capacity;        // |t_i^k| for available resources
-    std::int64_t total_capacity;  // with total resources (for Ĝ'_k)
+    std::int64_t total_capacity;  // with total resources; set for Ĝ'_k only
     std::int64_t cost;            // one-way delay µs
   };
 
+  /// One usable worker as the whole round sees it, built once per round by
+  /// the liveness filter; each type's WorkerCap is plain arithmetic on it.
+  struct RoundNode {
+    NodeId node;
+    Millicores cpu_for_lc = 0;  // Eq. 2 LC view minus commitments, >= 0
+    MiB mem_for_lc = 0;
+    Millicores cpu_total = 0;
+    MiB mem_total = 0;
+    SimDuration half_rtt = 0;  // one-way delay to the node's cluster
+    int queued = 0;
+    bool has_committed_cpu = false;
+    double committed_cpu = 0.0;
+  };
+
+  /// What the dispatcher committed to one node since the last sync. A flag
+  /// cleared by decay reads exactly like an entry erased from a map: its
+  /// value is reset to 0.0, so re-committing starts from 0.0 + amount.
+  struct Commitment {
+    double cpu = 0.0;
+    double mem = 0.0;
+    bool has_cpu = false;
+    bool has_mem = false;
+  };
+
   /// Per-node resource commitments one scheduled type adds, merged into
-  /// committed_cpu_/committed_mem_ after the fan-out joins.
+  /// committed_ after the fan-out joins.
   struct NodeCommit {
     NodeId node;
     double cpu;
@@ -150,29 +178,37 @@ class DssLcScheduler : public k8s::LcScheduler {
     std::int64_t overflow = 0;
   };
 
-  /// One pool slot's reusable solver storage: the chain array Route fills
-  /// and the kernel scratch. Only the slot's own thread touches it.
+  /// One pool slot's reusable solver storage: the type's worker view, its
+  /// per-worker assignment counts, the chain array Route fills and the
+  /// kernel scratch. Only the slot's own thread touches it; every buffer
+  /// is sized to the round view at round start.
   struct RouteScratch {
+    std::vector<WorkerCap> workers;
+    std::vector<std::int64_t> assigned;
     std::vector<flow::StarChain> chains;
     flow::StarScratch star;
   };
 
-  /// Solve one type's graph(s) against the round-start state view using
-  /// the claiming slot's scratch. Pure w.r.t. scheduler state except for
-  /// `scratch` and the atomic solve counter.
+  /// Solve one type's graph(s) against the round view using the claiming
+  /// slot's scratch. Pure w.r.t. scheduler state except for `scratch` and
+  /// the atomic solve counter.
   TypeOutcome ScheduleType(ServiceId svc,
                            const std::vector<const k8s::PendingRequest*>& reqs,
-                           const std::vector<metrics::NodeSnapshot>& snapshots,
-                           const metrics::StateStorage& storage, SimTime now,
                            std::uint64_t round, RouteScratch& scratch);
 
-  /// Route `amount` requests across workers via the dispatch-star kernel;
-  /// returns per-worker counts aligned with `workers`, valid until
-  /// `scratch` is reused.
+  /// Fill `scratch.workers` with one type's worker view (Eq. 2 capacities
+  /// and edge costs; total capacities left 0) from round_view_; returns
+  /// Σ capacity.
+  std::int64_t BuildWorkerView(const workload::ServiceSpec& svc,
+                               RouteScratch& scratch) const;
+
+  /// Route `amount` requests across scratch.workers via the dispatch-star
+  /// kernel; returns per-worker counts aligned with them, valid until
+  /// `scratch` is reused. Adds the chain-fill time to `build_us` when
+  /// profiling.
   std::span<const std::int64_t> Route(RouteScratch& scratch,
-                                      const std::vector<WorkerCap>& workers,
                                       std::int64_t amount, bool use_total,
-                                      double lambda);
+                                      double lambda, double& build_us);
 
   const workload::ServiceCatalog* catalog_;
   DssLcConfig cfg_;
@@ -180,6 +216,9 @@ class DssLcScheduler : public k8s::LcScheduler {
   std::unique_ptr<ThreadPool> pool_;
   /// One scratch per pool slot (index = ParallelFor worker slot).
   std::vector<RouteScratch> slot_scratch_;
+  /// This round's usable workers in NodeId order; read-only during the
+  /// fan-out, rebuilt (capacity kept) every round.
+  std::vector<RoundNode> round_view_;
   std::int64_t scratch_alloc_events_ = 0;
   std::atomic<std::int64_t> solves_{0};  // Route calls (pool threads write)
   double decision_seconds_ = 0.0;
@@ -189,12 +228,13 @@ class DssLcScheduler : public k8s::LcScheduler {
   k8s::LcRoundStats last_round_;
   k8s::LcRoundStats total_round_;
   /// CPU/memory the dispatcher has committed per node since the last
-  /// state-storage refresh (decays with the sync period): without it, every
-  /// dispatch round between refreshes re-routes onto the same stale
-  /// capacity. Entries decayed below an epsilon are erased so the maps stay
-  /// bounded by the recently-used node set instead of every node ever seen.
-  std::map<NodeId, double> committed_cpu_;
-  std::map<NodeId, double> committed_mem_;
+  /// state-storage refresh (decays with the sync period), indexed by
+  /// NodeId::value: without it, every dispatch round between refreshes
+  /// re-routes onto the same stale capacity. Entries decayed below an
+  /// epsilon are cleared; committed_live_ lists the slots with a live
+  /// entry, so the decay pass costs the recently-used nodes, not every id.
+  std::vector<Commitment> committed_;
+  std::vector<std::int32_t> committed_live_;
   SimTime last_decay_ = 0;
 
   /// TangoScope metrics (registered once in the constructor; pointers are

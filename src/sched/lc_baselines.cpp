@@ -14,9 +14,10 @@ using metrics::StateStorage;
 namespace {
 
 /// Local mutable view of node headroom so one Schedule call does not pile
-/// every request onto the same snapshot.
+/// every request onto the same snapshot. `snap` points into the storage,
+/// which a Schedule call only reads.
 struct Headroom {
-  NodeSnapshot snap;
+  const NodeSnapshot* snap;
   Millicores cpu;
   MiB mem;
 };
@@ -24,13 +25,13 @@ struct Headroom {
 std::vector<Headroom> WorkersOf(const StateStorage& storage,
                                 std::optional<ClusterId> only_cluster) {
   std::vector<Headroom> out;
-  for (const auto& s : storage.All()) {
-    if (s.is_master) continue;
-    if (only_cluster.has_value() && s.cluster != *only_cluster) continue;
+  storage.ForEach([&](const NodeSnapshot& s) {
+    if (s.is_master) return;
+    if (only_cluster.has_value() && s.cluster != *only_cluster) return;
     // LC schedulers see the §4.1-regulated LC availability (idle plus
     // BE-preemptible when the node's allocation policy allows it).
-    out.push_back({s, s.CpuForLc(), s.MemForLc()});
-  }
+    out.push_back({&s, s.CpuForLc(), s.MemForLc()});
+  });
   return out;
 }
 
@@ -58,7 +59,7 @@ std::vector<Assignment> KubeNativeLcScheduler::Schedule(
   for (const auto& p : queue) {
     const auto& w = workers[cursor % workers.size()];
     ++cursor;
-    out.push_back({p.request.id, w.snap.node});
+    out.push_back({p.request.id, w.snap->node});
   }
   return out;
 }
@@ -77,14 +78,14 @@ std::vector<Assignment> LoadGreedyLcScheduler::Schedule(
     for (auto& w : workers) {
       const double frac =
           static_cast<double>(w.cpu) /
-          static_cast<double>(std::max<Millicores>(1, w.snap.cpu_total));
+          static_cast<double>(std::max<Millicores>(1, w.snap->cpu_total));
       if (frac > best_frac) {
         best_frac = frac;
         best = &w;
       }
     }
     if (best == nullptr) break;
-    out.push_back({p.request.id, best->snap.node});
+    out.push_back({p.request.id, best->snap->node});
     Consume(*best, svc);
   }
   return out;
@@ -109,23 +110,23 @@ std::vector<Assignment> ScoringLcScheduler::Schedule(
   SimDuration max_rtt = 1;
   for (const auto& w : workers) {
     max_rtt = std::max(max_rtt,
-                       storage.Rtt(w.snap.cluster).value_or(kMillisecond));
+                       storage.Rtt(w.snap->cluster).value_or(kMillisecond));
   }
   for (const auto& p : queue) {
     const auto& svc = catalog_->Get(p.request.service);
     auto score_of = [&](const Headroom& w) {
       const double cpu_frac =
           static_cast<double>(w.cpu) /
-          static_cast<double>(std::max<Millicores>(1, w.snap.cpu_total));
+          static_cast<double>(std::max<Millicores>(1, w.snap->cpu_total));
       const double mem_frac =
           static_cast<double>(w.mem) /
-          static_cast<double>(std::max<MiB>(1, w.snap.mem_total));
+          static_cast<double>(std::max<MiB>(1, w.snap->mem_total));
       const double rtt_frac =
           static_cast<double>(
-              storage.Rtt(w.snap.cluster).value_or(kMillisecond)) /
+              storage.Rtt(w.snap->cluster).value_or(kMillisecond)) /
           static_cast<double>(max_rtt);
-      double queue_pen = static_cast<double>(w.snap.queued) / 10.0;
-      auto inflight_it = inflight_.find(w.snap.node);
+      double queue_pen = static_cast<double>(w.snap->queued) / 10.0;
+      auto inflight_it = inflight_.find(w.snap->node);
       if (inflight_it != inflight_.end()) {
         queue_pen += inflight_it->second / 4.0;
       }
@@ -154,9 +155,9 @@ std::vector<Assignment> ScoringLcScheduler::Schedule(
       }
     }
     if (best == nullptr) continue;
-    out.push_back({p.request.id, best->snap.node});
+    out.push_back({p.request.id, best->snap->node});
     Consume(*best, svc);
-    inflight_[best->snap.node] += 1.0;
+    inflight_[best->snap->node] += 1.0;
   }
   return out;
 }

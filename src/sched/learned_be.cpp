@@ -21,10 +21,13 @@ LearnedBeScheduler::LearnedBeScheduler(const workload::ServiceCatalog* catalog,
 rl::GraphState LearnedBeScheduler::BuildState(
     const k8s::PendingRequest& pending, const StateStorage& storage) {
   const auto& svc = catalog_->Get(pending.request.service);
-  std::vector<NodeSnapshot> workers;
-  for (const auto& s : storage.All()) {
-    if (!s.is_master) workers.push_back(s);
-  }
+  // Workers in NodeId order, read in place from the storage (or, at
+  // cluster granularity, from `clusters`, which owns the pseudo-nodes).
+  std::vector<const NodeSnapshot*> workers;
+  storage.ForEach([&workers](const NodeSnapshot& s) {
+    if (!s.is_master) workers.push_back(&s);
+  });
+  std::vector<NodeSnapshot> clusters;
   if (cfg_.granularity == BeGranularity::kCluster) {
     // Collapse each cluster into one pseudo-node: resources are summed, the
     // representative NodeId is the least-loaded worker that fits the
@@ -33,7 +36,8 @@ rl::GraphState LearnedBeScheduler::BuildState(
     std::map<ClusterId, const NodeSnapshot*> representative;
     std::map<ClusterId, double> slack_sum;
     std::map<ClusterId, int> count;
-    for (const auto& s : workers) {
+    for (const NodeSnapshot* w : workers) {
+      const NodeSnapshot& s = *w;
       auto [it, fresh] = agg.try_emplace(s.cluster, s);
       if (!fresh) {
         it->second.cpu_total += s.cpu_total;
@@ -53,7 +57,6 @@ rl::GraphState LearnedBeScheduler::BuildState(
         rep = &s;
       }
     }
-    std::vector<NodeSnapshot> clusters;
     for (auto& [cid, snap] : agg) {
       snap.slack_score = slack_sum[cid] / std::max(1, count[cid]);
       // The pseudo-node's id routes to the representative worker; fall back
@@ -63,7 +66,8 @@ rl::GraphState LearnedBeScheduler::BuildState(
       }
       clusters.push_back(snap);
     }
-    workers = std::move(clusters);
+    workers.clear();
+    for (const NodeSnapshot& c : clusters) workers.push_back(&c);
   }
   const int n = static_cast<int>(workers.size());
   rl::GraphState state;
@@ -73,7 +77,7 @@ rl::GraphState LearnedBeScheduler::BuildState(
   // ---- Node features (§5.3.1's state T, normalized to ~[0,1]).
   nn::Matrix f(n, 9);
   for (int i = 0; i < n; ++i) {
-    const auto& s = workers[static_cast<std::size_t>(i)];
+    const NodeSnapshot& s = *workers[static_cast<std::size_t>(i)];
     const auto cpu_total = static_cast<float>(std::max<Millicores>(1, s.cpu_total));
     const auto mem_total = static_cast<float>(std::max<MiB>(1, s.mem_total));
     f.at(i, 0) = static_cast<float>(s.cpu_available) / cpu_total;
@@ -93,7 +97,7 @@ rl::GraphState LearnedBeScheduler::BuildState(
   // of inter-cluster links so the GNN can see remote load.
   std::map<ClusterId, std::vector<int>> by_cluster;
   for (int i = 0; i < n; ++i) {
-    by_cluster[workers[static_cast<std::size_t>(i)].cluster].push_back(i);
+    by_cluster[workers[static_cast<std::size_t>(i)]->cluster].push_back(i);
   }
   state.graph.adj.assign(static_cast<std::size_t>(n), {});
   for (const auto& [cid, members] : by_cluster) {
@@ -128,7 +132,7 @@ rl::GraphState LearnedBeScheduler::BuildState(
   // resources satisfy the request (§5.3.2).
   state.valid.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const auto& s = workers[static_cast<std::size_t>(i)];
+    const NodeSnapshot& s = *workers[static_cast<std::size_t>(i)];
     state.valid[static_cast<std::size_t>(i)] =
         s.cpu_available >= svc.cpu_demand && s.mem_available >= svc.mem_demand;
   }

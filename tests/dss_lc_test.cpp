@@ -326,20 +326,23 @@ TEST_F(ParallelDssFixture, SteadyStateRoundsAllocateNoGraphStorage) {
       << "steady-state rounds must reuse solver scratch, not allocate";
 }
 
+/// FNV-1a step over the four little-endian bytes of `v`.
+std::uint64_t FoldInt(std::uint64_t h, std::int32_t v) {
+  auto u = static_cast<std::uint32_t>(v);
+  for (int byte = 0; byte < 4; ++byte) {
+    h = (h ^ (u & 0xFFu)) * 1099511628211ULL;
+    u >>= 8;
+  }
+  return h;
+}
+
 /// FNV-1a over every assignment's (request, target) in emission order.
 std::uint64_t FoldAssignments(std::uint64_t h,
                               const std::vector<Assignment>& as) {
-  const auto fold = [&h](std::int32_t v) {
-    auto u = static_cast<std::uint32_t>(v);
-    for (int byte = 0; byte < 4; ++byte) {
-      h = (h ^ (u & 0xFFu)) * 1099511628211ULL;
-      u >>= 8;
-    }
-  };
-  fold(static_cast<std::int32_t>(as.size()));
+  h = FoldInt(h, static_cast<std::int32_t>(as.size()));
   for (const auto& a : as) {
-    fold(a.request.value);
-    fold(a.target.value);
+    h = FoldInt(h, a.request.value);
+    h = FoldInt(h, a.target.value);
   }
   return h;
 }
@@ -361,6 +364,89 @@ TEST_F(ParallelDssFixture, DriftingRoundsMatchPinnedDigest) {
   }
   EXPECT_EQ(digest, 0xd9b72c0e5a461556ULL)
       << std::hex << "digest 0x" << digest;
+  EXPECT_GT(dss.overflow_routed(), 0);
+}
+
+TEST_F(ParallelDssFixture, SparseChurnRoundsMatchPinnedDigest) {
+  // Commitment bookkeeping under churn. NodeIds start far above zero with
+  // gaps; every round one node dies, one drains and one cluster is cut
+  // off, and each comes back later; idle gaps of 2.9-10 s decay
+  // commitments to erasure before deep queues re-create them and push
+  // several types into the overflow graph. The digest folds each round's
+  // assignments, the live commitment-entry count (also at every decay
+  // probe) and the overflow total; it was captured from the map-based
+  // commitment store.
+  DssLcScheduler dss(&catalog);
+  StateStorage st;
+  std::vector<int> ids;
+  for (int i = 0; i < 14; ++i) ids.push_back(70000 + 37 * i + 1000 * (i % 3));
+  Rng rng(61);
+  const auto push = [&](std::size_t i, SimTime now, bool alive,
+                        bool draining) {
+    NodeSnapshot s;
+    s.node = NodeId{ids[i]};
+    s.cluster = ClusterId{static_cast<std::int32_t>(i % 4)};
+    s.cpu_total = 4000 + 1000 * static_cast<Millicores>(i % 3);
+    s.cpu_available = rng.UniformInt(0, s.cpu_total);
+    s.mem_total = 8192;
+    s.mem_available = rng.UniformInt(256, 8192);
+    s.queued = static_cast<int>(rng.UniformInt(0, 3));
+    s.alive = alive;
+    s.draining = draining;
+    s.recorded_at = now;
+    st.Update(s);
+  };
+  NodeSnapshot master;
+  master.node = NodeId{69999};
+  master.is_master = true;
+  master.cpu_total = master.cpu_available = 8000;
+  st.Update(master);
+  for (int c = 0; c < 4; ++c) {
+    st.UpdateRtt(ClusterId{c}, (2 + 9 * c) * kMillisecond);
+  }
+  constexpr SimDuration kGaps[] = {100 * kMillisecond, 2900 * kMillisecond,
+                                   100 * kMillisecond, 3400 * kMillisecond,
+                                   100 * kMillisecond, 10 * kSecond};
+  std::uint64_t digest = 14695981039346656037ULL;
+  bool partly_erased = false;
+  bool erased_all = false;
+  bool recreated = false;
+  SimTime now = 0;
+  for (int round = 0; round < 30; ++round) {
+    const auto n = ids.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto r = static_cast<std::size_t>(round);
+      push(i, now, /*alive=*/i != r % n, /*draining=*/i == (r + 5) % n);
+    }
+    st.MarkClusterReachability(ClusterId{round % 4}, false);
+    st.MarkClusterReachability(ClusterId{(round + 3) % 4}, true);
+    const int depth = (round % 4 == 1) ? 700 : 25 + 11 * (round % 5);
+    digest = FoldAssignments(
+        digest, dss.Schedule(ClusterId{0}, MixedQueue(depth, now), st, now));
+    const auto entries = static_cast<std::int32_t>(dss.committed_entries());
+    digest = FoldInt(digest, entries);
+    digest = FoldInt(digest, static_cast<std::int32_t>(dss.overflow_routed()));
+    recreated = recreated || (erased_all && entries > 0);
+    const SimDuration gap = kGaps[round % 6];
+    if (gap > kSecond) {
+      // Empty rounds step through a long gap. Each runs only the decay
+      // pass, so the entry count shows CPU and memory entries crossing the
+      // epsilon at different times.
+      for (SimDuration t = 25 * kMillisecond; t <= gap;
+           t += 25 * kMillisecond) {
+        dss.Schedule(ClusterId{0}, {}, st, now + t);
+        const auto left = static_cast<std::int32_t>(dss.committed_entries());
+        digest = FoldInt(digest, left);
+        partly_erased = partly_erased || left % 2 == 1;
+        erased_all = erased_all || left == 0;
+      }
+    }
+    now += gap;
+  }
+  EXPECT_EQ(digest, 0xfdb93b0d3990229cULL) << std::hex << "digest 0x" << digest;
+  EXPECT_TRUE(partly_erased);
+  EXPECT_TRUE(erased_all);
+  EXPECT_TRUE(recreated);
   EXPECT_GT(dss.overflow_routed(), 0);
 }
 

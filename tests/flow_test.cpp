@@ -417,7 +417,122 @@ TEST(DispatchStar, EmptyChainListRoutesNothing) {
   EXPECT_TRUE(ExpectStarMatchesSsp({{}, {}, {}, 5}, scratch, "empty").empty());
 }
 
+/// Solve `chains` as given with SolveDispatchStar and the same star with
+/// MinCostMaxFlow::Solve, where a capacity or amount <= 0 becomes zero;
+/// require identical per-chain flows, max flow and total cost. Returns the
+/// kernel's flows.
+std::vector<FlowUnit> ExpectChainsMatchSsp(const std::vector<StarChain>& chains,
+                                           FlowUnit amount,
+                                           StarScratch& scratch,
+                                           const std::string& ctx) {
+  StarCase c;
+  c.amount = std::max<FlowUnit>(0, amount);
+  for (const StarChain& chain : chains) {
+    c.cost.push_back(chain.cost);
+    c.edge_cap.push_back(std::max<FlowUnit>(0, chain.capacity));
+    c.worker_cap.push_back(std::max<FlowUnit>(0, chain.capacity));
+  }
+  const auto reference = ExpectStarMatchesSsp(c, scratch, ctx);
+  const auto span = SolveDispatchStar(chains, amount, scratch);
+  const std::vector<FlowUnit> flows(span.begin(), span.end());
+  EXPECT_EQ(flows, reference) << ctx << ": raw inputs changed the fill";
+  return flows;
+}
+
+TEST(DispatchStar, UnitAmountOverWideMostlyEmptyStar) {
+  // One request over 4,096 chains with three distinct costs, ~95% of them
+  // without capacity: the single unit lands on the smallest index among
+  // the cheapest chains that can carry it.
+  Rng rng(4096);
+  StarScratch scratch;
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<StarChain> chains(4096);
+    for (StarChain& c : chains) {
+      c.cost = 5 * rng.UniformInt(0, 2);
+      c.capacity = rng.UniformInt(0, 19) == 0 ? rng.UniformInt(1, 3) : 0;
+    }
+    if (trial == 0) {
+      // Every cheapest chain is empty: the unit must move up a cost tier.
+      for (StarChain& c : chains) {
+        if (c.cost == 0) c.capacity = 0;
+      }
+    }
+    const auto flows = ExpectChainsMatchSsp(chains, 1, scratch,
+                                            "trial " + std::to_string(trial));
+    std::size_t expected = chains.size();
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      if (chains[i].capacity <= 0) continue;
+      if (expected == chains.size() ||
+          chains[i].cost < chains[expected].cost) {
+        expected = i;
+      }
+    }
+    ASSERT_LT(expected, chains.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_EQ(flows[i], i == expected ? 1 : 0) << "trial " << trial
+                                                 << " chain " << i;
+    }
+    if (HasFailure()) return;
+  }
+}
+
+TEST(DispatchStar, NegativeCapacityChainsCarryNothing) {
+  StarScratch scratch;
+  // The cheapest chains have negative capacity; flow skips them.
+  EXPECT_EQ(ExpectChainsMatchSsp({{0, -4}, {1, 2}, {0, -1}, {2, 5}}, 4,
+                                 scratch, "fixed"),
+            (std::vector<FlowUnit>{0, 2, 0, 2}));
+  Rng rng(997);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<StarChain> chains;
+    const auto n = rng.UniformInt(1, 24);
+    for (std::int64_t i = 0; i < n; ++i) {
+      chains.push_back({3 * rng.UniformInt(0, 3), rng.UniformInt(-5, 4)});
+    }
+    ExpectChainsMatchSsp(chains, rng.UniformInt(-2, 30), scratch,
+                         "trial " + std::to_string(trial));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(DispatchStar, AmountEndingAtAChainBoundary) {
+  // For every prefix of the fill order, an amount equal to the prefix's
+  // capacity saturates exactly those chains and leaves the rest empty.
+  Rng rng(77);
+  StarScratch scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<StarChain> chains;
+    const auto n = rng.UniformInt(1, 30);
+    for (std::int64_t i = 0; i < n; ++i) {
+      chains.push_back({2 * rng.UniformInt(0, 4), rng.UniformInt(-1, 5)});
+    }
+    std::vector<std::size_t> fill;
+    for (std::size_t i = 0; i < chains.size(); ++i) {
+      if (chains[i].capacity > 0) fill.push_back(i);
+    }
+    std::stable_sort(fill.begin(), fill.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return chains[a].cost < chains[b].cost;
+                     });
+    FlowUnit boundary = 0;
+    for (std::size_t k = 0; k < fill.size(); ++k) {
+      boundary += chains[fill[k]].capacity;
+      const std::string ctx = "trial " + std::to_string(trial) + " prefix " +
+                              std::to_string(k + 1);
+      const auto flows = ExpectChainsMatchSsp(chains, boundary, scratch, ctx);
+      for (std::size_t j = 0; j < fill.size(); ++j) {
+        EXPECT_EQ(flows[fill[j]], j <= k ? chains[fill[j]].capacity : 0)
+            << ctx << " chain " << fill[j];
+      }
+      if (HasFailure()) return;
+    }
+  }
+}
+
 TEST(DispatchStar, ReusedScratchDoesNotGrow) {
+  // A scratch reserved once serves every later solve: the heap is built in
+  // `order` (at most one entry per chain) and `flow` is rewritten in place,
+  // whatever mix of empty, negative and positive chains and amounts comes.
   Rng rng(7);
   StarScratch scratch;
   EXPECT_TRUE(scratch.Reserve(32));
@@ -430,9 +545,9 @@ TEST(DispatchStar, ReusedScratchDoesNotGrow) {
     chains.clear();
     const auto n = rng.UniformInt(0, 32);
     for (std::int64_t i = 0; i < n; ++i) {
-      chains.push_back({rng.UniformInt(0, 4), rng.UniformInt(0, 6)});
+      chains.push_back({rng.UniformInt(0, 4), rng.UniformInt(-2, 6)});
     }
-    const auto flows = SolveDispatchStar(chains, rng.UniformInt(0, 100),
+    const auto flows = SolveDispatchStar(chains, rng.UniformInt(-1, 100),
                                          scratch);
     ASSERT_EQ(flows.size(), chains.size());
   }

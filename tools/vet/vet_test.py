@@ -106,6 +106,7 @@ class RepoTreeTest(unittest.TestCase):
         hot = [l for l in proc.stdout.splitlines() if l.endswith(" HOT")]
         for needle in ("MinCostMaxFlow::Solve", "flow::SolveDispatchStar",
                        "DssLcScheduler::Route",
+                       "DssLcScheduler::BuildWorkerView",
                        "Simulator::RunUntil", "ShardEngine::RunShardEpoch",
                        "PackedMlp::Forward"):
             self.assertTrue(any(needle in l for l in hot),
