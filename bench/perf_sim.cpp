@@ -2,10 +2,11 @@
 //
 // Four measurements:
 //   1. Raw event-engine throughput (events/sec) for one-shot churn,
-//      periodic re-arm, and heavy cancel/re-schedule, with the engine's
-//      alloc_events() asserted flat after warm-up.
+//      periodic re-arm, heavy cancel/re-schedule and in-place Reschedule,
+//      with the engine's alloc_events() asserted flat after warm-up.
 //   2. State-sync cost: pushes vs delta-skips and storage insertions over a
-//      full simulation on the fast path.
+//      full simulation on the fast path, and the pending events one trace
+//      submission adds (streamed arrivals: exactly one).
 //   3. End-to-end wall time of identical simulations with cfg.fast_path on
 //      vs off (the full-rebuild reference), on a 16-node and a 256-node
 //      system, asserting the request-level results are identical.
@@ -56,6 +57,7 @@ struct EngineRun {
   double oneshot_events_per_sec = 0.0;
   double periodic_events_per_sec = 0.0;
   double cancel_churn_events_per_sec = 0.0;
+  double reschedule_churn_events_per_sec = 0.0;
   std::int64_t steady_alloc_events = 0;
   bool pending_exact = false;
 };
@@ -143,6 +145,33 @@ EngineRun RunEngine(std::int64_t events) {
     run.steady_alloc_events += s.alloc_events() - warm_allocs;
     run.pending_exact = run.pending_exact && s.pending_events() == 64;
   }
+  // The same churn re-armed in place with Reschedule — what Recompute does
+  // to a running request's queued completion: one sift, no slot traffic.
+  {
+    sim::Simulator s;
+    s.ReserveEvents(128);
+    std::vector<sim::EventHandle> pending(64, sim::kInvalidEvent);
+    std::int64_t churned = 0;
+    bool moved = true;
+    for (std::int64_t i = 0; i < 64; ++i) {
+      pending[static_cast<std::size_t>(i)] =
+          s.ScheduleAt(100 * kSecond + i, []() {});
+    }
+    s.RunUntil(0);
+    const std::int64_t warm_allocs = s.alloc_events();
+    const double t0 = Now();
+    for (std::int64_t i = 0; i < events; ++i) {
+      const auto slot = static_cast<std::size_t>(i % 64);
+      moved = s.Reschedule(pending[slot], 100 * kSecond + i) && moved;
+      ++churned;
+    }
+    const double elapsed = Now() - t0;
+    run.reschedule_churn_events_per_sec =
+        elapsed > 0.0 ? static_cast<double>(churned) / elapsed : 0.0;
+    run.steady_alloc_events += s.alloc_events() - warm_allocs;
+    run.pending_exact =
+        run.pending_exact && moved && s.pending_events() == 64;
+  }
   return run;
 }
 
@@ -155,6 +184,7 @@ struct SimRun {
   std::int64_t storage_inserts = 0;
   std::int64_t steady_alloc_events = 0;
   std::int64_t steady_storage_inserts = 0;
+  std::int64_t submit_pending = 0;  // pending events SubmitTrace added
   double wall_s = 0.0;
 };
 
@@ -178,7 +208,10 @@ SimRun RunSim(int clusters, int workers_per_cluster, double lc_rps,
   framework::Assembly assembly = framework::InstallPair(
       system, framework::LcAlgo::kLoadGreedy, framework::BeAlgo::kLoadGreedy,
       /*with_hrm=*/true, {});
+  const std::size_t idle_pending = system.simulator().pending_events();
   system.SubmitTrace(cfg.trace);
+  run.submit_pending = static_cast<std::int64_t>(
+      system.simulator().pending_events() - idle_pending);
   // Pre-warm the event pool past any burst's high-water mark so the
   // steady-state assert measures per-event behavior, not pool growth from
   // a late traffic peak.
@@ -353,6 +386,8 @@ void WriteJson(const char* path, int cores, const EngineRun& engine,
       << ",\n"
       << "    \"cancel_churn_events_per_sec\": "
       << engine.cancel_churn_events_per_sec << ",\n"
+      << "    \"reschedule_churn_events_per_sec\": "
+      << engine.reschedule_churn_events_per_sec << ",\n"
       << "    \"steady_state_alloc_events\": " << engine.steady_alloc_events
       << ",\n"
       << "    \"pending_events_exact\": "
@@ -373,7 +408,9 @@ void WriteJson(const char* path, int cores, const EngineRun& engine,
         << "      \"steady_state_alloc_events\": "
         << e.fast.steady_alloc_events << ",\n"
         << "      \"steady_state_storage_inserts\": "
-        << e.fast.steady_storage_inserts << "\n    }"
+        << e.fast.steady_storage_inserts << ",\n"
+        << "      \"submission_pending_events\": " << e.fast.submit_pending
+        << "\n    }"
         << (i + 1 < e2e.size() ? "," : "") << "\n";
   }
   out << "  },\n  \"scale_sweep\": [\n";
@@ -428,12 +465,14 @@ int main(int argc, char** argv) {
   // allocations and exactness, not throughput).
   const EngineRun engine = RunEngine(smoke ? 50000 : 2000000);
   std::printf("== event engine ==\n");
-  std::printf("  one-shot churn    %12.0f events/s\n",
-              engine.oneshot_events_per_sec);
-  std::printf("  periodic re-arm   %12.0f events/s\n",
-              engine.periodic_events_per_sec);
-  std::printf("  cancel+reschedule %12.0f events/s\n",
-              engine.cancel_churn_events_per_sec);
+  const auto engine_row = [](const char* label, double events_per_sec) {
+    std::printf("  %-25s %12.0f events/s\n", label, events_per_sec);
+  };
+  engine_row("one-shot churn", engine.oneshot_events_per_sec);
+  engine_row("periodic re-arm", engine.periodic_events_per_sec);
+  engine_row("cancel+reschedule", engine.cancel_churn_events_per_sec);
+  engine_row("in-place reschedule churn",
+             engine.reschedule_churn_events_per_sec);
   bench::PaperCheck("steady-state event allocations", "0 after warm-up",
                     std::to_string(engine.steady_alloc_events),
                     engine.steady_alloc_events == 0);
@@ -472,8 +511,18 @@ int main(int argc, char** argv) {
             std::to_string(e.fast.steady_storage_inserts),
         e.fast.steady_alloc_events == 0 &&
             e.fast.steady_storage_inserts == 0);
+    // Streamed arrivals: the trace's future stays out of the event queue.
+    const bool one_pending =
+        e.fast.submit_pending == 1 && e.slow.submit_pending == 1;
+    bench::PaperCheck(
+        (std::string("a submission adds one pending event (") + e.label +
+         ")").c_str(),
+        "1 (fast/slow)",
+        std::to_string(e.fast.submit_pending) + "/" +
+            std::to_string(e.slow.submit_pending),
+        one_pending);
     ok = ok && e.identical && e.fast.steady_alloc_events == 0 &&
-         e.fast.steady_storage_inserts == 0;
+         e.fast.steady_storage_inserts == 0 && one_pending;
   }
   if (!smoke) {
     const auto& large = e2e.back();

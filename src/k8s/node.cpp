@@ -310,19 +310,24 @@ void WorkerNode::Recompute() {
   if (in_recompute_) return;
   in_recompute_ = true;
   AccountProgress();
-  std::vector<ExecSlot> slots;
-  slots.reserve(running_.size());
+  // Member scratch (the in_recompute_ guard rules out reentry): Recompute
+  // runs on every admission and completion, so it allocates nothing once
+  // the buffers reached the node's peak running set.
+  std::vector<ExecSlot>& slots = slots_scratch_;
+  slots.clear();
   for (const auto& r : running_) slots.push_back(r.slot);
-  std::vector<Millicores> grants;
+  std::vector<Millicores>& grants = grants_scratch_;
   policy_->ComputeGrants(spec_, slots, grants);
   TANGO_CHECK(grants.size() == running_.size(), "grant vector size mismatch");
   // Co-location interference: resolve the grants the loop below will assign
   // (activity + speedup cap), then charge each victim with its co-runners'
   // CPU/membw/LLC pressure. Kept in a separate enabled-only pass so the
   // disabled path runs the exact original loop, byte for byte.
-  std::vector<double> slows;
+  std::vector<double>& slows = slows_scratch_;
+  slows.clear();
   if (tunables_.interference != nullptr && !running_.empty()) {
-    std::vector<Millicores> capped(running_.size());
+    std::vector<Millicores>& capped = capped_scratch_;
+    capped.resize(running_.size());
     double cpu_sum = 0.0;
     double membw_sum = 0.0;
     double llc_sum = 0.0;
@@ -360,18 +365,23 @@ void WorkerNode::Recompute() {
     g = std::min(g, cap);
     r.grant = g;
     r.slow = slows.empty() ? 1.0 : slows[i];
-    if (r.completion != sim::kInvalidEvent) {
-      sim_->Cancel(r.completion);
-      r.completion = sim::kInvalidEvent;
-    }
     if (r.active && g > 0 && r.slot.remaining_work >= 0.0) {
       double work = r.slot.remaining_work;
       if (r.slow != 1.0) work *= r.slow;
-      const auto delay = static_cast<SimDuration>(
-          std::ceil(work / static_cast<double>(g)));
-      const RequestId rid = r.slot.request;
-      r.completion =
-          sim_->ScheduleAfter(delay, [this, rid]() { CompleteAt(rid); });
+      const SimTime when =
+          sim_->Now() + static_cast<SimDuration>(
+                            std::ceil(work / static_cast<double>(g)));
+      // Re-arm the queued completion in place (the same key Cancel +
+      // ScheduleAt gives); schedule afresh only when none is queued — the
+      // first grant, or the completion that is firing right now.
+      if (!sim_->Reschedule(r.completion, when)) {
+        const RequestId rid = r.slot.request;
+        r.completion =
+            sim_->ScheduleAt(when, [this, rid]() { CompleteAt(rid); });
+      }
+    } else if (r.completion != sim::kInvalidEvent) {
+      sim_->Cancel(r.completion);
+      r.completion = sim::kInvalidEvent;
     }
   }
   MarkDirty();

@@ -193,6 +193,11 @@ class WorkerNode {
   cgroup::Hierarchy cgroups_;
 
   std::vector<Running> running_;
+  // Recompute's reused buffers (never live across calls).
+  std::vector<ExecSlot> slots_scratch_;
+  std::vector<Millicores> grants_scratch_;
+  std::vector<double> slows_scratch_;
+  std::vector<Millicores> capped_scratch_;
   std::deque<Queued> queue_lc_;
   std::deque<Queued> queue_be_;
   std::int64_t scaling_ops_ = 0;

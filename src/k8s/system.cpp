@@ -233,13 +233,67 @@ void EdgeCloudSystem::EndRequestSpan(RequestId id, SimTime at) {
 PeriodStats& EdgeCloudSystem::CurrentPeriod() { return period_stats_.back(); }
 
 void EdgeCloudSystem::SubmitTrace(const workload::Trace& trace) {
-  for (const auto& request : trace) {
-    const auto idx = static_cast<std::size_t>(request.id.value);
-    if (records_.size() <= idx) records_.resize(idx + 1);
-    records_[idx].request = request;
-    sim_.ScheduleAt(request.arrival,
-                    [this, request]() { OnArrival(request); });
+  if (trace.empty()) return;
+  std::int32_t max_id = -1;
+  bool sorted = true;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const workload::Request& r = trace[i];
+    TANGO_CHECK(r.id.valid(), "request without an id at trace index %zu", i);
+    // Checked here, not when the arrival is armed: a bad trace must fail
+    // at submission, as it did when every arrival was scheduled up front.
+    TANGO_CHECK(r.arrival >= sim_.Now(),
+                "request %d arrives in the past: %lld < %lld", r.id.value,
+                static_cast<long long>(r.arrival),
+                static_cast<long long>(sim_.Now()));
+    max_id = std::max(max_id, r.id.value);
+    if (i > 0 && r.arrival < trace[i - 1].arrival) sorted = false;
   }
+  if (records_.size() <= static_cast<std::size_t>(max_id)) {
+    records_.resize(static_cast<std::size_t>(max_id) + 1);
+  }
+  for (const workload::Request& r : trace) {
+    RequestRecord& rec = records_[static_cast<std::size_t>(r.id.value)];
+    TANGO_CHECK(!rec.request.id.valid(), "request %d submitted twice",
+                r.id.value);
+    rec.request = r;
+  }
+  // The cursor: ids in (arrival, submission index) order. A sorted trace
+  // (the workload::Trace contract, what FinalizeTrace produces) is already
+  // in that order; anything else takes one stable sort.
+  ArrivalStream stream;
+  stream.ids.reserve(trace.size());
+  for (const workload::Request& r : trace) stream.ids.push_back(r.id.value);
+  if (!sorted) {
+    std::stable_sort(stream.ids.begin(), stream.ids.end(),
+                     [this](std::int32_t a, std::int32_t b) {
+                       return Record(RequestId{a}).request.arrival <
+                              Record(RequestId{b}).request.arrival;
+                     });
+  }
+  stream.seq0 = sim_.ReserveSeqs(trace.size());
+  arrivals_.push_back(std::move(stream));
+  ArmNextArrival(arrivals_.size() - 1);
+}
+
+void EdgeCloudSystem::ArmNextArrival(std::size_t s) {
+  ArrivalStream& stream = arrivals_[s];
+  if (stream.next == stream.ids.size()) {
+    stream = ArrivalStream{};  // drained: give the cursor's memory back
+    return;
+  }
+  const std::size_t k = stream.next++;
+  const std::int32_t id = stream.ids[k];
+  // Cursor position k takes seq0 + k: within the block the keys rise with
+  // the cursor, and against every other event the block orders as a whole,
+  // so this pops exactly like pre-scheduling the trace (DESIGN §10). The
+  // successor is armed before OnArrival runs, before anything else pops.
+  sim_.ScheduleAtSeq(records_[static_cast<std::size_t>(id)].request.arrival,
+                     stream.seq0 + k, [this, s, id]() {
+                       ArmNextArrival(s);
+                       const workload::Request request =
+                           records_[static_cast<std::size_t>(id)].request;
+                       OnArrival(request);
+                     });
 }
 
 void EdgeCloudSystem::OnArrival(const workload::Request& request) {

@@ -147,6 +147,10 @@ class EdgeCloudSystem {
   void SetAllocationPolicy(const AllocationPolicy* policy);
 
   /// Queue every request of the trace for arrival at its origin cluster.
+  /// Arrivals are streamed: one per submission is pending at a time, under
+  /// a sequence block reserved here, so events pop exactly as if every
+  /// arrival had been scheduled here. Every id must be valid and not yet
+  /// submitted, every arrival >= Now().
   void SubmitTrace(const workload::Trace& trace);
 
   /// Advance virtual time.
@@ -237,7 +241,18 @@ class EdgeCloudSystem {
     std::vector<std::uint64_t> lc_seen;
   };
 
+  /// One SubmitTrace call's arrival cursor: request ids in (arrival,
+  /// submission index) order, the first of the sequence numbers reserved
+  /// for the submission, and the next cursor position to arm.
+  struct ArrivalStream {
+    std::vector<std::int32_t> ids;
+    std::uint64_t seq0 = 0;
+    std::size_t next = 0;
+  };
+
   void BuildClusters();
+  /// Schedule stream `s`'s next arrival; its callback arms the one after.
+  void ArmNextArrival(std::size_t s);
   void OnArrival(const workload::Request& request);
   void ScheduleLcDispatch(ClusterId cluster);
   void DispatchLc(ClusterId cluster);
@@ -350,6 +365,7 @@ class EdgeCloudSystem {
   metrics::QosDetector qos_detector_;
   metrics::TimeSeriesStore tss_;
   std::vector<RequestRecord> records_;
+  std::vector<ArrivalStream> arrivals_;
   std::vector<PeriodStats> period_stats_;
 };
 

@@ -136,11 +136,15 @@ TANGO_HOT std::span<const std::int64_t> DssLcScheduler::Route(
   return counts;
 }
 
-DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
+void DssLcScheduler::ScheduleType(
     ServiceId svc_id, const std::vector<const PendingRequest*>& requests,
-    std::uint64_t round, RouteScratch& scratch) {
-  TypeOutcome outcome;
-  if (round_view_.empty()) return outcome;
+    std::uint64_t round, RouteScratch& scratch, TypeOutcome& outcome) {
+  outcome.assignments.clear();
+  outcome.commits.clear();
+  outcome.lambda = 0.0;
+  outcome.overloaded = false;
+  outcome.overflow = 0;
+  if (round_view_.empty()) return;
   const auto& svc = catalog_->Get(svc_id);
 
   // The worker capacity view (Eq. 2 / Eq. 7) against the round-start
@@ -160,7 +164,8 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
   const auto pending = static_cast<std::int64_t>(requests.size());
 
   // Order requests by the split policy ρ(·) on this type's own RNG stream.
-  std::vector<const PendingRequest*> ordered = requests;
+  std::vector<const PendingRequest*>& ordered = scratch.ordered;
+  ordered = requests;
   switch (cfg_.split_policy) {
     case SplitPolicy::kRandom: {
       Rng rng(TypeStreamSeed(cfg_.seed, svc_id, round));
@@ -249,7 +254,6 @@ DssLcScheduler::TypeOutcome DssLcScheduler::ScheduleType(
   if (cfg_.profile_phases) {
     h_graph_build_->Observe(static_cast<std::int64_t>(build_us));
   }
-  return outcome;
 }
 
 std::vector<Assignment> DssLcScheduler::Schedule(
@@ -288,11 +292,35 @@ std::vector<Assignment> DssLcScheduler::Schedule(
     last_decay_ = now;
   }
 
-  // Group queued requests by type k ∈ K (Alg. 2 handles each in parallel).
-  // std::map iteration gives the ascending service-id order the merge
-  // below relies on.
-  std::map<ServiceId, std::vector<const PendingRequest*>> by_type;
-  for (const auto& p : queue) by_type[p.request.service].push_back(&p);
+  // Group queued requests by type k ∈ K (Alg. 2 handles each in parallel)
+  // into per-service-id lists: types_ comes out in the ascending service-id
+  // order the merge below relies on and each list keeps queue order. Every
+  // buffer is reused; growth is summed into scratch_alloc_events_.
+  const auto buffer_capacity = [this]() {
+    std::size_t sum = round_view_.capacity() + by_type_.capacity() +
+                      types_.capacity() + outcomes_.capacity();
+    for (const auto& requests : by_type_) sum += requests.capacity();
+    for (const auto& o : outcomes_) {
+      sum += o.assignments.capacity() + o.commits.capacity();
+    }
+    return sum;
+  };
+  const std::size_t capacity_before = buffer_capacity();
+  for (auto& requests : by_type_) requests.clear();
+  for (const auto& p : queue) {
+    TANGO_CHECK(p.request.service.valid(), "queued request %d has no type",
+                p.request.id.value);
+    const auto id = static_cast<std::size_t>(p.request.service.value);
+    if (id >= by_type_.size()) by_type_.resize(id + 1);
+    by_type_[id].push_back(&p);
+  }
+  types_.clear();
+  std::size_t largest_type = 0;
+  for (std::size_t id = 0; id < by_type_.size(); ++id) {
+    if (by_type_[id].empty()) continue;
+    types_.push_back(ServiceId{static_cast<std::int32_t>(id)});
+    largest_type = std::max(largest_type, by_type_[id].size());
+  }
 
   // Workers the fault plane took out (crashed, draining, or behind a cut
   // link) are excluded up front — dispatching to them would strand the
@@ -301,7 +329,6 @@ std::vector<Assignment> DssLcScheduler::Schedule(
   // a cluster's RTT is looked up once per run of its nodes.
   k8s::LcRoundStats round;
   round.at = now;
-  const std::size_t view_capacity = round_view_.capacity();
   round_view_.clear();
   ClusterId rtt_cluster;
   SimDuration half_rtt = 0;
@@ -343,7 +370,6 @@ std::vector<Assignment> DssLcScheduler::Schedule(
     round_view_.push_back(v);
     max_node = std::max(max_node, s.node.value);
   });
-  if (round_view_.capacity() != view_capacity) ++scratch_alloc_events_;
   // Every node a type can commit to is in the view, so growing the
   // commitment array here keeps the merge below free of bounds checks.
   if (static_cast<std::size_t>(max_node + 1) > committed_.size()) {
@@ -361,34 +387,40 @@ std::vector<Assignment> DssLcScheduler::Schedule(
   // identical. Each slot is sized here to this round's view (one worker
   // and one chain per usable worker) so no type allocates solver storage.
   const auto round_index = static_cast<std::uint64_t>(decisions_);
-  std::vector<ServiceId> svc_order;
-  std::vector<const std::vector<const PendingRequest*>*> svc_requests;
-  svc_order.reserve(by_type.size());
-  svc_requests.reserve(by_type.size());
-  for (const auto& [svc_id, requests] : by_type) {
-    svc_order.push_back(svc_id);
-    svc_requests.push_back(&requests);
-  }
   const std::size_t n_view = round_view_.size();
   for (auto& slot : slot_scratch_) {
     const bool grows = n_view > slot.chains.capacity() ||
                        n_view > slot.workers.capacity() ||
-                       n_view > slot.assigned.capacity();
+                       n_view > slot.assigned.capacity() ||
+                       largest_type > slot.ordered.capacity();
     slot.chains.reserve(n_view);
     slot.workers.resize(n_view);
     slot.assigned.resize(n_view);
+    slot.ordered.reserve(largest_type);
     if (slot.star.Reserve(n_view) || grows) ++scratch_alloc_events_;
   }
-  std::vector<TypeOutcome> outcomes(svc_order.size());
+  // Each outcome can hold at most its type's requests and one commit per
+  // usable worker; sizing them here keeps the fan-out allocation-free.
+  if (outcomes_.size() < types_.size()) outcomes_.resize(types_.size());
+  for (std::size_t i = 0; i < types_.size(); ++i) {
+    outcomes_[i].assignments.reserve(
+        by_type_[static_cast<std::size_t>(types_[i].value)].size());
+    outcomes_[i].commits.reserve(n_view);
+  }
+  if (buffer_capacity() != capacity_before) ++scratch_alloc_events_;
+  const std::span<const TypeOutcome> outcomes(outcomes_.data(),
+                                              types_.size());
   const auto run_type = [&](std::size_t i, int worker_slot) {
-    outcomes[i] = ScheduleType(
-        svc_order[i], *svc_requests[i], round_index,
-        slot_scratch_[static_cast<std::size_t>(worker_slot)]);
+    const ServiceId svc = types_[i];
+    ScheduleType(svc, by_type_[static_cast<std::size_t>(svc.value)],
+                 round_index,
+                 slot_scratch_[static_cast<std::size_t>(worker_slot)],
+                 outcomes_[i]);
   };
   if (pool_ != nullptr) {
-    pool_->ParallelFor(svc_order.size(), run_type);
+    pool_->ParallelFor(types_.size(), run_type);
   } else {
-    for (std::size_t i = 0; i < svc_order.size(); ++i) run_type(i, 0);
+    for (std::size_t i = 0; i < types_.size(); ++i) run_type(i, 0);
   }
 
   // Merge in ascending service-id order: assignment order, commitment

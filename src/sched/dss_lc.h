@@ -179,22 +179,26 @@ class DssLcScheduler : public k8s::LcScheduler {
   };
 
   /// One pool slot's reusable solver storage: the type's worker view, its
-  /// per-worker assignment counts, the chain array Route fills and the
-  /// kernel scratch. Only the slot's own thread touches it; every buffer
-  /// is sized to the round view at round start.
+  /// per-worker assignment counts, the ρ-ordered request list, the chain
+  /// array Route fills and the kernel scratch. Only the slot's own thread
+  /// touches it; every buffer is sized at round start (to the round view,
+  /// or to the largest type for `ordered`).
   struct RouteScratch {
     std::vector<WorkerCap> workers;
     std::vector<std::int64_t> assigned;
+    std::vector<const k8s::PendingRequest*> ordered;
     std::vector<flow::StarChain> chains;
     flow::StarScratch star;
   };
 
   /// Solve one type's graph(s) against the round view using the claiming
-  /// slot's scratch. Pure w.r.t. scheduler state except for `scratch` and
-  /// the atomic solve counter.
-  TypeOutcome ScheduleType(ServiceId svc,
-                           const std::vector<const k8s::PendingRequest*>& reqs,
-                           std::uint64_t round, RouteScratch& scratch);
+  /// slot's scratch, overwriting `outcome` (whose buffers the round
+  /// pre-sized). Pure w.r.t. scheduler state except for `scratch`,
+  /// `outcome` and the atomic solve counter.
+  void ScheduleType(ServiceId svc,
+                    const std::vector<const k8s::PendingRequest*>& reqs,
+                    std::uint64_t round, RouteScratch& scratch,
+                    TypeOutcome& outcome);
 
   /// Fill `scratch.workers` with one type's worker view (Eq. 2 capacities
   /// and edge costs; total capacities left 0) from round_view_; returns
@@ -219,6 +223,15 @@ class DssLcScheduler : public k8s::LcScheduler {
   /// This round's usable workers in NodeId order; read-only during the
   /// fan-out, rebuilt (capacity kept) every round.
   std::vector<RoundNode> round_view_;
+  /// This round's queue grouped by type (Alg. 2's R_k), in reused
+  /// buffers: by_type_[service id] holds that type's requests in queue
+  /// order, types_ the present types in ascending id order. outcomes_
+  /// never shrinks, so each entry keeps its buffers' capacity.
+  std::vector<std::vector<const k8s::PendingRequest*>> by_type_;
+  std::vector<ServiceId> types_;
+  std::vector<TypeOutcome> outcomes_;
+  /// Capacity growths of every buffer a round reuses (the round view, the
+  /// grouping and outcome buffers, each slot's scratch).
   std::int64_t scratch_alloc_events_ = 0;
   std::atomic<std::int64_t> solves_{0};  // Route calls (pool threads write)
   double decision_seconds_ = 0.0;

@@ -101,31 +101,13 @@ void Simulator::HeapRemoveAt(std::size_t index) {
   SiftUp(index);
 }
 
-EventHandle Simulator::ScheduleAt(SimTime when, Callback cb) {
-  TANGO_CHECK(when >= now_, "scheduling into the past: %lld < %lld",
-              static_cast<long long>(when), static_cast<long long>(now_));
+EventHandle Simulator::Push(SimTime when, std::uint64_t seq,
+                            SimDuration period, Callback&& cb) {
   if (cb.on_heap()) ++alloc_events_;
   const std::uint32_t slot = AllocSlot();
   Node& n = pool_[slot];
   n.when = when;
-  n.seq = next_seq_++;
-  n.period = 0;
-  n.cb = std::move(cb);
-  HeapPush(slot);
-  if constexpr (audit::kEnabled) AuditHeapThrottled();
-  return MakeHandle(slot, n.generation);
-}
-
-EventHandle Simulator::StartPeriodic(SimTime first, SimDuration period,
-                                     Callback cb) {
-  TANGO_CHECK(period > 0, "periodic event needs a positive period");
-  TANGO_CHECK(first >= now_, "periodic start in the past: %lld < %lld",
-              static_cast<long long>(first), static_cast<long long>(now_));
-  if (cb.on_heap()) ++alloc_events_;
-  const std::uint32_t slot = AllocSlot();
-  Node& n = pool_[slot];
-  n.when = first;
-  n.seq = next_seq_++;
+  n.seq = seq;
   n.period = period;
   n.cb = std::move(cb);
   HeapPush(slot);
@@ -133,14 +115,45 @@ EventHandle Simulator::StartPeriodic(SimTime first, SimDuration period,
   return MakeHandle(slot, n.generation);
 }
 
-void Simulator::Cancel(EventHandle handle) {
-  if (handle == kInvalidEvent) return;
+EventHandle Simulator::ScheduleAt(SimTime when, Callback cb) {
+  TANGO_CHECK(when >= now_, "scheduling into the past: %lld < %lld",
+              static_cast<long long>(when), static_cast<long long>(now_));
+  return Push(when, next_seq_++, 0, std::move(cb));
+}
+
+TANGO_HOT EventHandle Simulator::ScheduleAtSeq(SimTime when,
+                                               std::uint64_t seq,
+                                               Callback cb) {
+  TANGO_CHECK(when >= now_, "scheduling into the past: %lld < %lld",
+              static_cast<long long>(when), static_cast<long long>(now_));
+  TANGO_CHECK(seq < next_seq_, "sequence %llu was never reserved (next %llu)",
+              static_cast<unsigned long long>(seq),
+              static_cast<unsigned long long>(next_seq_));
+  return Push(when, seq, 0, std::move(cb));
+}
+
+EventHandle Simulator::StartPeriodic(SimTime first, SimDuration period,
+                                     Callback cb) {
+  TANGO_CHECK(period > 0, "periodic event needs a positive period");
+  TANGO_CHECK(first >= now_, "periodic start in the past: %lld < %lld",
+              static_cast<long long>(first), static_cast<long long>(now_));
+  return Push(first, next_seq_++, period, std::move(cb));
+}
+
+std::int64_t Simulator::SlotOf(EventHandle handle) const {
   const std::uint64_t low = handle & 0xffffffffULL;
-  if (low == 0) return;
-  const std::size_t slot = static_cast<std::size_t>(low - 1);
-  if (slot >= pool_.size()) return;
-  Node& n = pool_[slot];
-  if (n.generation != static_cast<std::uint32_t>(handle >> 32)) return;
+  if (low == 0 || low > pool_.size()) return -1;
+  const auto slot = static_cast<std::size_t>(low - 1);
+  if (pool_[slot].generation != static_cast<std::uint32_t>(handle >> 32)) {
+    return -1;
+  }
+  return static_cast<std::int64_t>(slot);
+}
+
+void Simulator::Cancel(EventHandle handle) {
+  const std::int64_t slot = SlotOf(handle);
+  if (slot < 0) return;
+  Node& n = pool_[static_cast<std::size_t>(slot)];
   if (n.firing) {
     // A periodic cancelling itself (or being cancelled) mid-tick: the fire
     // loop frees the slot instead of re-arming.
@@ -151,6 +164,28 @@ void Simulator::Cancel(EventHandle handle) {
   HeapRemoveAt(static_cast<std::size_t>(n.heap_index));
   FreeSlot(static_cast<std::uint32_t>(slot));
   if constexpr (audit::kEnabled) AuditHeapThrottled();
+}
+
+TANGO_HOT bool Simulator::Reschedule(EventHandle handle, SimTime when) {
+  const std::int64_t slot = SlotOf(handle);
+  if (slot < 0) return false;
+  Node& n = pool_[static_cast<std::size_t>(slot)];
+  if (n.firing || n.heap_index < 0 || n.period > 0) return false;
+  TANGO_CHECK(when >= now_, "rescheduling into the past: %lld < %lld",
+              static_cast<long long>(when), static_cast<long long>(now_));
+  // The fresh seq is larger than every queued one, so the key only moves
+  // up unless the time moves down: one sift in the matching direction.
+  const bool earlier = when < n.when;
+  n.when = when;
+  n.seq = next_seq_++;
+  const auto index = static_cast<std::size_t>(n.heap_index);
+  if (earlier) {
+    SiftUp(index);
+  } else {
+    SiftDown(index);
+  }
+  if constexpr (audit::kEnabled) AuditHeapThrottled();
+  return true;
 }
 
 bool Simulator::PopAndRun() {

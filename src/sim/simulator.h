@@ -17,7 +17,13 @@
 //     removed immediately, so no tombstones accumulate and pending_events()
 //     is exact;
 //   - periodic events are first class: one live pool entry is re-armed in
-//     place every tick instead of re-scheduling a fresh event per firing.
+//     place every tick instead of re-scheduling a fresh event per firing;
+//   - a queued one-shot can be moved in place (Reschedule): same key as
+//     Cancel + ScheduleAt, one sift, no slot or callback traffic;
+//   - a producer that knows its future (a trace) reserves a block of
+//     sequence numbers up front and feeds its events one at a time under
+//     them (ReserveSeqs + ScheduleAtSeq), so the queue holds only the
+//     present while pops keep the order of scheduling everything at once.
 #pragma once
 
 #include <cstddef>
@@ -167,6 +173,27 @@ class Simulator {
   /// to call on already-fired, already-cancelled, or reused handles (no-op).
   void Cancel(EventHandle handle);
 
+  /// Move a queued one-shot event to `when` (>= Now()) under a fresh
+  /// sequence number — the key `Cancel` followed by `ScheduleAt` would give
+  /// at this point of the program — with one sift and no slot or callback
+  /// traffic; the handle stays valid. Returns false and changes nothing for
+  /// a stale, fired, firing or periodic handle.
+  bool Reschedule(EventHandle handle, SimTime when);
+
+  /// Hand out `n` consecutive sequence numbers for later ScheduleAtSeq
+  /// calls and return the first. Events scheduled under them order exactly
+  /// as if they had all been scheduled with ScheduleAt right now, in block
+  /// order, however late each one actually enters the queue.
+  std::uint64_t ReserveSeqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedule `cb` at `when` (>= Now()) under `seq`, a number from an
+  /// earlier ReserveSeqs block; each reserved number is used at most once.
+  EventHandle ScheduleAtSeq(SimTime when, std::uint64_t seq, Callback cb);
+
   /// No pending event (NextEventTime sentinel).
   static constexpr SimTime kNoEvent = INT64_MAX;
 
@@ -241,6 +268,10 @@ class Simulator {
            (static_cast<EventHandle>(slot) + 1);
   }
 
+  /// Pool slot a live handle names, or -1 when the handle is stale.
+  std::int64_t SlotOf(EventHandle handle) const;
+  EventHandle Push(SimTime when, std::uint64_t seq, SimDuration period,
+                   Callback&& cb);
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
   bool Before(std::uint32_t a, std::uint32_t b) const;

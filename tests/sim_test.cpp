@@ -1,8 +1,11 @@
 // Unit tests for the discrete-event simulation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace tango::sim {
@@ -429,6 +432,298 @@ TEST(Simulator, ReserveEventsPrewarmsPool) {
   }
   EXPECT_EQ(sim.alloc_events(), after_reserve);
   sim.RunAll();
+}
+
+// ---- Reserved sequences: streaming a known future ------------------------
+
+/// Shared event body of the differential tests: log the id, then maybe
+/// spawn a child `0..2` ticks later — often onto an occupied timestamp.
+void Fire(Simulator& sim, std::vector<int>& log, int& next_child, int id) {
+  log.push_back(id);
+  const std::uint64_t h =
+      (static_cast<std::uint64_t>(id) + 1) * 0x9E3779B97F4A7C15ULL;
+  if ((h >> 60) % 3 != 0) return;
+  const int child = next_child++;
+  sim.ScheduleAfter(static_cast<SimDuration>((h >> 40) % 3),
+                    [&sim, &log, &next_child, child] {
+                      Fire(sim, log, next_child, child);
+                    });
+}
+
+/// One submission: `times[i]` is arrival i's time in submission order.
+struct Submission {
+  int first_id = 0;
+  std::vector<SimTime> times;
+};
+
+/// Feeds a submission lazily, one pending arrival at a time, under a
+/// block of reserved sequence numbers taken in cursor order (what
+/// EdgeCloudSystem::SubmitTrace does): the k-th arrival by (time, index)
+/// gets seq0 + k, not its submission index, and still pops like the
+/// up-front schedule because the block orders against other events whole.
+struct LazyFeed {
+  Simulator* sim;
+  std::vector<int>* log;
+  int* next_child;
+  Submission sub;
+  std::vector<std::uint32_t> order;  // submission indices by (time, index)
+  std::uint64_t seq0 = 0;
+  std::size_t next = 0;
+
+  void Start() {
+    order.resize(sub.times.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<std::uint32_t>(i);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                       return sub.times[a] < sub.times[b];
+                     });
+    seq0 = sim->ReserveSeqs(sub.times.size());
+    Arm();
+  }
+  void Arm() {
+    if (next == order.size()) return;
+    const std::size_t k = next++;
+    const std::uint32_t i = order[k];
+    sim->ScheduleAtSeq(sub.times[i], seq0 + k, [this, i] {
+      Arm();
+      Fire(*sim, *log, *next_child, sub.first_id + static_cast<int>(i));
+    });
+  }
+};
+
+Submission RandomSubmission(Rng& rng, int first_id, SimTime from, int n,
+                            bool sorted) {
+  Submission sub;
+  sub.first_id = first_id;
+  for (int i = 0; i < n; ++i) {
+    sub.times.push_back(from + rng.UniformInt(0, 24));
+  }
+  if (sorted) std::sort(sub.times.begin(), sub.times.end());
+  return sub;
+}
+
+/// Runs two submissions (the second after a partial run, between other
+/// events) either all scheduled up front or fed lazily; returns the log.
+std::vector<int> RunFeeds(std::uint64_t seed, bool lazy,
+                          std::size_t* max_pending) {
+  Rng rng(seed);
+  Simulator sim;
+  std::vector<int> log;
+  int next_child = 1000000;
+  const Submission a = RandomSubmission(rng, 0, 0, 120, (seed & 1) == 0);
+  const Submission b = RandomSubmission(rng, 500, 10, 80, (seed & 2) == 0);
+  sim.StartPeriodic(0, 5, [&log] { log.push_back(-1); });
+  for (int i = 0; i < 6; ++i) {
+    sim.ScheduleAt(i * 4, [&sim, &log, &next_child, i] {
+      Fire(sim, log, next_child, 900 + i);
+    });
+  }
+  std::vector<LazyFeed> feeds;
+  feeds.reserve(2);  // callbacks hold `this`
+  const auto submit = [&](const Submission& sub) {
+    if (lazy) {
+      feeds.push_back(LazyFeed{&sim, &log, &next_child, sub, {}, 0, 0});
+      feeds.back().Start();
+      return;
+    }
+    for (std::size_t i = 0; i < sub.times.size(); ++i) {
+      const int id = sub.first_id + static_cast<int>(i);
+      sim.ScheduleAt(sub.times[i], [&sim, &log, &next_child, id] {
+        Fire(sim, log, next_child, id);
+      });
+    }
+  };
+  submit(a);
+  *max_pending = sim.pending_events();
+  sim.RunUntil(9);
+  submit(b);
+  *max_pending = std::max(*max_pending, sim.pending_events());
+  sim.RunUntil(60);
+  return log;
+}
+
+TEST(Simulator, LazyReservedFeedPopsLikeUpFrontScheduling) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    std::size_t eager_pending = 0;
+    std::size_t lazy_pending = 0;
+    const std::vector<int> eager = RunFeeds(seed, false, &eager_pending);
+    const std::vector<int> lazy = RunFeeds(seed, true, &lazy_pending);
+    ASSERT_EQ(eager, lazy) << "seed " << seed;
+    ASSERT_GT(eager.size(), 200u);
+    // The lazy feed keeps one arrival per submission pending.
+    EXPECT_LT(lazy_pending, eager_pending) << "seed " << seed;
+  }
+}
+
+TEST(Simulator, ReserveSeqsHandsOutDisjointBlocks) {
+  Simulator sim;
+  const std::uint64_t a = sim.ReserveSeqs(10);
+  const std::uint64_t b = sim.ReserveSeqs(3);
+  EXPECT_EQ(b, a + 10);
+  // An event scheduled after both blocks sorts after every reserved one
+  // at the same time, whenever the reserved ones are queued.
+  std::vector<int> order;
+  sim.ScheduleAt(5, [&order] { order.push_back(2); });
+  sim.ScheduleAtSeq(5, b + 2, [&order] { order.push_back(1); });
+  sim.ScheduleAtSeq(5, a, [&order] { order.push_back(0); });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(SimulatorDeathTest, ScheduleAtSeqRejectsUnreservedSeqAndPast) {
+  Simulator sim;
+  const std::uint64_t seq = sim.ReserveSeqs(2);
+  EXPECT_DEATH(sim.ScheduleAtSeq(1, seq + 2, [] {}), "never reserved");
+  sim.RunUntil(10);
+  EXPECT_DEATH(sim.ScheduleAtSeq(5, seq, [] {}), "into the past");
+}
+
+// ---- Reschedule: in-place re-arm ----------------------------------------
+
+/// One side of the Reschedule differential: a simulator, the handle and
+/// liveness of each logical event, and the log of fired ids.
+struct ChurnSide {
+  Simulator sim;
+  std::vector<EventHandle> handle;
+  std::vector<bool> live;
+  std::vector<int> log;
+
+  explicit ChurnSide(std::size_t ids)
+      : handle(ids, kInvalidEvent), live(ids, false) {
+    sim.StartPeriodic(3, 7, [this] { log.push_back(-1); });
+  }
+  void Arm(std::size_t id, SimTime when) {
+    live[id] = true;
+    handle[id] = sim.ScheduleAt(when, [this, id] {
+      log.push_back(static_cast<int>(id));
+      live[id] = false;
+    });
+  }
+  void Cancel(std::size_t id) {
+    sim.Cancel(handle[id]);
+    live[id] = false;
+  }
+};
+
+TEST(Simulator, RescheduleMatchesCancelPlusScheduleUnderChurn) {
+  constexpr std::size_t kIds = 48;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    ChurnSide moved(kIds);  // re-arms with Reschedule
+    ChurnSide fresh(kIds);  // re-arms with Cancel + ScheduleAt
+    for (int op = 0; op < 4000; ++op) {
+      const auto id = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kIds) - 1));
+      const SimTime when = moved.sim.Now() + rng.UniformInt(0, 6);
+      switch (rng.UniformInt(0, 3)) {
+        case 0:  // (re)arm
+          if (moved.live[id]) {
+            ASSERT_TRUE(moved.sim.Reschedule(moved.handle[id], when));
+            fresh.Cancel(id);
+            fresh.Arm(id, when);
+          } else {
+            // A fired or cancelled handle is stale: Reschedule refuses.
+            ASSERT_FALSE(moved.sim.Reschedule(moved.handle[id], when));
+            moved.Arm(id, when);
+            fresh.Arm(id, when);
+          }
+          break;
+        case 1:
+          moved.Cancel(id);
+          fresh.Cancel(id);
+          break;
+        default:
+          ASSERT_EQ(moved.sim.Step(), fresh.sim.Step());
+          break;
+      }
+      ASSERT_EQ(moved.log, fresh.log) << "seed " << seed << " op " << op;
+      ASSERT_EQ(moved.live, fresh.live);
+      ASSERT_EQ(moved.sim.Now(), fresh.sim.Now());
+      ASSERT_EQ(moved.sim.pending_events(), fresh.sim.pending_events());
+    }
+    moved.sim.RunUntil(moved.sim.Now() + 50);
+    fresh.sim.RunUntil(fresh.sim.Now() + 50);
+    EXPECT_EQ(moved.log, fresh.log) << "seed " << seed;
+    EXPECT_GT(moved.log.size(), 500u);
+  }
+}
+
+TEST(Simulator, RescheduleMovesEarlierAndLater) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventHandle a = sim.ScheduleAt(10, [&order] { order.push_back(0); });
+  sim.ScheduleAt(20, [&order] { order.push_back(1); });
+  const EventHandle c = sim.ScheduleAt(30, [&order] { order.push_back(2); });
+  EXPECT_TRUE(sim.Reschedule(a, 40));  // later: now after both others
+  EXPECT_TRUE(sim.Reschedule(c, 5));   // earlier: now first
+  EXPECT_TRUE(sim.Reschedule(c, 20));  // equal time: fresh seq sorts last
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+}
+
+TEST(Simulator, RescheduleRefusesStaleFiredFiringAndPeriodic) {
+  Simulator sim;
+  int runs = 0;
+  // Stale: cancelled, then the slot reused by another event.
+  const EventHandle cancelled = sim.ScheduleAt(10, [&runs] { ++runs; });
+  sim.Cancel(cancelled);
+  sim.ScheduleAt(10, [&runs] { ++runs; });
+  EXPECT_FALSE(sim.Reschedule(cancelled, 50));
+  EXPECT_FALSE(sim.Reschedule(kInvalidEvent, 50));
+  // Periodic, queued.
+  EventHandle tick = kInvalidEvent;
+  bool refused_mid_tick = false;
+  tick = sim.StartPeriodic(20, 20, [&] {
+    // Firing periodic: its own handle cannot be moved either.
+    refused_mid_tick = !sim.Reschedule(tick, sim.Now() + 1);
+    sim.Cancel(tick);
+  });
+  EXPECT_FALSE(sim.Reschedule(tick, 50));
+  // Firing one-shot: its handle is already stale inside its callback.
+  EventHandle self = kInvalidEvent;
+  bool refused_self = false;
+  self = sim.ScheduleAt(15, [&] { refused_self = !sim.Reschedule(self, 60); });
+  // Refusals change nothing.
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.NextEventTime(), 10);
+  sim.RunAll();
+  EXPECT_TRUE(refused_mid_tick);
+  EXPECT_TRUE(refused_self);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(sim.Now(), 20);
+  // Fired.
+  EXPECT_FALSE(sim.Reschedule(self, 80));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, RescheduleKeepsHandleAndAllocatesNothing) {
+  Simulator sim;
+  std::vector<EventHandle> pending;
+  for (int i = 0; i < 64; ++i) {
+    pending.push_back(sim.ScheduleAt(100 + i, [] {}));
+  }
+  const std::int64_t warm = sim.alloc_events();
+  for (int round = 0; round < 200; ++round) {
+    for (auto& h : pending) {
+      ASSERT_TRUE(sim.Reschedule(h, sim.Now() + 100));
+    }
+    sim.RunUntil(sim.Now() + 10);
+  }
+  EXPECT_EQ(sim.alloc_events(), warm);
+  EXPECT_EQ(sim.pending_events(), 64u);
+  EXPECT_EQ(sim.executed_events(), 0u);
+  for (const EventHandle h : pending) sim.Cancel(h);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorDeathTest, RescheduleRejectsPast) {
+  Simulator sim;
+  const EventHandle h = sim.ScheduleAt(50, [] {});
+  sim.RunUntil(20);
+  EXPECT_DEATH(sim.Reschedule(h, 10), "into the past");
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 // state sync, metrics periods, and summary bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "eval/harness.h"
 #include "k8s/system.h"
 #include "sched/be_baselines.h"
+#include "sched/dss_lc.h"
 #include "sched/lc_baselines.h"
 
 namespace tango::k8s {
@@ -190,6 +194,102 @@ TEST_F(SystemFixture, ScalingOpsAggregatedAcrossNodes) {
   system->SubmitTrace(SmallTrace(10, 0));
   system->Run(20 * kSecond);
   EXPECT_GT(system->total_scaling_ops(), 0);
+}
+
+/// FNV-1a over the fields of every record a run fills in, plus the
+/// simulator's executed-event count: any change in event order shows up.
+std::uint64_t RecordsDigest(EdgeCloudSystem& sys) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto fold = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const RequestRecord& rec : sys.records()) {
+    fold(rec.request.id.value);
+    fold(static_cast<std::int64_t>(rec.outcome));
+    fold(rec.target.value);
+    fold(rec.dispatched);
+    fold(rec.completed);
+    fold(rec.latency);
+    fold(rec.qos_met ? 1 : 0);
+    fold(rec.reschedules);
+    fold(rec.fault_reroutes);
+  }
+  fold(static_cast<std::int64_t>(sys.simulator().executed_events()));
+  return h;
+}
+
+/// `groups` bursts of `per_group` requests sharing one arrival time, every
+/// `spacing`, from `start`. At 2 ms (5 ms) spacing each burst lands on the
+/// LC (BE) dispatch tick the previous burst opened, and every 100 ms on a
+/// sync tick, so equal-time ties between arrivals and other events decide
+/// which batch a request joins.
+workload::Trace BurstTrace(int first_id, SimTime start, SimDuration spacing,
+                           int groups, int per_group) {
+  workload::Trace t;
+  int id = first_id;
+  for (int g = 0; g < groups; ++g) {
+    for (int k = 0; k < per_group; ++k, ++id) {
+      Request r;
+      r.id = RequestId{id};
+      r.service = ServiceId{id % 10};  // five LC types, five BE types
+      r.origin = ClusterId{(id / 3) % 3};
+      r.arrival = start + g * spacing;
+      r.work_scale = 0.6 + 0.1 * (id % 7);
+      t.push_back(r);
+    }
+  }
+  return t;
+}
+
+TEST_F(SystemFixture, StreamedArrivalsKeepRecordsDigest) {
+  // Pinned against pre-scheduling every arrival at submit time: streaming
+  // them one per submission must not move a single event. Covers a sorted
+  // trace, a second submission after a partial run (whose sequence block
+  // starts after events scheduled in between), and an unsorted one.
+  hrm::HrmAllocationPolicy policy(&catalog);
+  sched::DssLcScheduler dss(&catalog);
+  system->SetAllocationPolicy(&policy);
+  system->SetLcScheduler(&dss);
+  const std::size_t idle = system->simulator().pending_events();
+  system->SubmitTrace(BurstTrace(0, 0, 2 * kMillisecond, 60, 4));
+  EXPECT_EQ(system->simulator().pending_events(), idle + 1);
+  system->Run(1200 * kMillisecond);
+  const SimTime now = system->simulator().Now();
+  system->SubmitTrace(BurstTrace(240, now, 5 * kMillisecond, 30, 3));
+  workload::Trace unsorted =
+      BurstTrace(330, now + kMillisecond, 2 * kMillisecond, 16, 5);
+  std::reverse(unsorted.begin(), unsorted.end());
+  std::swap(unsorted[3], unsorted[17]);
+  system->SubmitTrace(unsorted);
+  system->Run(60 * kSecond);
+  const RunSummary s = system->Summary();
+  EXPECT_EQ(s.lc_total + s.be_total, 410);
+  EXPECT_EQ(RecordsDigest(*system), 0x1438cbdc268035b8ULL);
+}
+
+TEST_F(SystemFixture, SubmissionAddsOnePendingEvent) {
+  const std::size_t idle = system->simulator().pending_events();
+  system->SubmitTrace(SmallTrace(30, 10));
+  EXPECT_EQ(system->simulator().pending_events(), idle + 1);
+  workload::Trace more = BurstTrace(40, 0, 10 * kMillisecond, 5, 4);
+  system->SubmitTrace(more);
+  EXPECT_EQ(system->simulator().pending_events(), idle + 2);
+  system->SubmitTrace(workload::Trace{});
+  EXPECT_EQ(system->simulator().pending_events(), idle + 2);
+}
+
+TEST_F(SystemFixture, SubmitRejectsPastArrivalsAndDuplicateIds) {
+  system->SubmitTrace(SmallTrace(2, 0));
+  EXPECT_DEATH(system->SubmitTrace(SmallTrace(1, 0)), "submitted twice");
+  system->Run(kSecond);
+  EXPECT_DEATH(system->SubmitTrace(BurstTrace(10, 0, kMillisecond, 1, 1)),
+               "arrives in the past");
+  workload::Trace unnamed = BurstTrace(20, kSecond, kMillisecond, 1, 1);
+  unnamed[0].id = RequestId{};
+  EXPECT_DEATH(system->SubmitTrace(unnamed), "without an id");
 }
 
 }  // namespace

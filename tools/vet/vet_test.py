@@ -107,7 +107,9 @@ class RepoTreeTest(unittest.TestCase):
         for needle in ("MinCostMaxFlow::Solve", "flow::SolveDispatchStar",
                        "DssLcScheduler::Route",
                        "DssLcScheduler::BuildWorkerView",
-                       "Simulator::RunUntil", "ShardEngine::RunShardEpoch",
+                       "Simulator::RunUntil", "Simulator::Reschedule",
+                       "Simulator::ScheduleAtSeq",
+                       "ShardEngine::RunShardEpoch",
                        "PackedMlp::Forward"):
             self.assertTrue(any(needle in l for l in hot),
                             f"{needle} lost its TANGO_HOT marker")
